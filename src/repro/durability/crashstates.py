@@ -165,8 +165,9 @@ def enumerate_crash_states(log: Sequence[OpRecord],
     Bounded O(n²) states before dedup: per crash point, the clean
     prefix, torn tails of the final write, one rollback state per path
     with volatile writes, the all-paths sync-loss state, and one
-    dropped-rename state per preceding rename. ``max_states`` truncates
-    (the harness logs when it does — silent truncation lies)."""
+    dropped-rename state per preceding rename not yet made durable.
+    ``max_states`` truncates (the harness logs when it does — silent
+    truncation lies)."""
     cover = _durable_cover(log)
     seen: Dict[str, CrashState] = {}
     order: List[CrashState] = []
@@ -220,9 +221,11 @@ def enumerate_crash_states(log: Sequence[OpRecord],
             add(i, [k for k in prefix if k not in dropped], {},
                 f"prefix:{i}~syncloss")
 
-        # each rename may individually miss the metadata journal
+        # each rename not yet made durable may individually miss the
+        # metadata journal
         for k in prefix:
-            if log[k].op == "rename" and log[k].fault is None:
+            if (log[k].op == "rename" and log[k].fault is None
+                    and not _durable_at(cover, k, i)):
                 add(i, [j for j in prefix if j != k], {},
                     f"prefix:{i}-rename@{k}")
 

@@ -88,11 +88,13 @@ def _emit_violation_bundles(
     bundle_dir, violating, shrink: bool,
 ) -> List[str]:
     """Write one repro bundle per replayable violating cell; with
-    ``shrink`` also write the delta-debugged minimal bundle and its
-    shrink log next to it (``.min.json`` / ``.shrinklog.json``)."""
+    ``shrink`` also write the delta-debugged minimal bundle (named by
+    its content, like every bundle) and, next to the source bundle, a
+    ``.shrinklog.json`` whose ``minimal`` field is the minimal
+    bundle's path."""
     import json
-    from pathlib import Path
 
+    from repro.durability import vfs
     from repro.errors import ReproError
     from repro.recovery.bundle import make_bundle, write_bundle
     from repro.recovery.shrink import shrink_bundle
@@ -114,12 +116,11 @@ def _emit_violation_bundles(
             shrunk = shrink_bundle(bundle)
         except ReproError:
             continue  # not reproducible in-process; keep the full bundle
-        minimal = Path(str(path).replace(".json", ".min.json"))
-        write_bundle(shrunk.minimal, minimal.parent)
-        # write_bundle names by content; link the pair via the log
-        log_path = Path(str(path).replace(".json", ".shrinklog.json"))
-        log_path.write_text(json.dumps({
+        minimal = write_bundle(shrunk.minimal, bundle_dir)
+        log_path = path.with_name(path.stem + ".shrinklog.json")
+        vfs.write_atomic_text(log_path, json.dumps({
             "source": str(path),
+            "minimal": str(minimal),
             "initial_size": shrunk.initial_size,
             "final_size": shrunk.final_size,
             "trials": shrunk.trials,

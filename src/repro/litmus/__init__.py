@@ -6,7 +6,10 @@ deterministic + hypothesis-driven litmus-program generator
 program across the registered policies and judges the observed
 schedules (:mod:`repro.litmus.oracle`), and a shrink link that turns
 violating schedules into minimal self-contained repro bundles
-(:mod:`repro.litmus.shrinklink`).
+(:mod:`repro.litmus.shrinklink`). Bundles are written, replayed and
+shrunk by the shared core in :mod:`repro.recovery` (kind
+``awg-repro-litmus-bundle``), which this package never imports at
+module scope.
 """
 
 from repro.litmus.generate import (
@@ -42,14 +45,10 @@ from repro.litmus.oracle import (
     run_litmus,
 )
 from repro.litmus.shrinklink import (
-    LITMUS_BUNDLE_KIND,
     LitmusRequest,
     emit_violation_bundles,
-    load_litmus_bundle,
-    make_litmus_bundle,
-    replay_litmus_bundle,
-    shrink_litmus_bundle,
-    write_litmus_bundle,
+    program_size,
+    replay_litmus,
 )
 
 __all__ = [
@@ -79,12 +78,8 @@ __all__ = [
     "golden_policies",
     "run_corpus",
     "run_litmus",
-    "LITMUS_BUNDLE_KIND",
     "LitmusRequest",
     "emit_violation_bundles",
-    "load_litmus_bundle",
-    "make_litmus_bundle",
-    "replay_litmus_bundle",
-    "shrink_litmus_bundle",
-    "write_litmus_bundle",
+    "program_size",
+    "replay_litmus",
 ]

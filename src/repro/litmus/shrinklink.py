@@ -3,28 +3,23 @@
 When the oracle observes a contract violation (a cell the static spec
 calls ``MUST_COMPLETE`` that hung, or a model judged ``violated`` that
 the policy claims), the offending (program, policy, seed) triple is
-packaged as a self-contained *litmus bundle* — the litmus counterpart
-of :mod:`repro.recovery.bundle`, with its own ``kind`` because a
-litmus request carries a whole program spec instead of a registry
-benchmark name — and handed to a delta-debugging loop modeled on
-:mod:`repro.recovery.shrink`: greedy, deterministic, every accepted
-step strictly reduces the program-size metric, re-replaying after each
-candidate and keeping only steps that preserve the violation.
+packaged as a *litmus bundle* (kind ``awg-repro-litmus-bundle``) by the
+shared bundle core in :mod:`repro.recovery.bundle` and minimized by the
+shared greedy loop in :mod:`repro.recovery.shrink`. This module supplies
+only what is litmus-specific: the request codec
+(:class:`LitmusRequest`), its replay (:func:`replay_litmus`), the
+program-size metric and its one-step reductions, and the oracle hook
+(:func:`emit_violation_bundles`).
 
 Program reductions, in fixed order: drop a whole WG script, drop a
 single action (validity-checked — e.g. dropping an ``acquire`` also
 drops its ``release``), halve a ``work`` duration, drop the restore
-window. The result reuses :class:`repro.recovery.shrink.ShrinkResult`
-for rendering and the shrink log.
+window.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
-import sys
-import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple
@@ -41,20 +36,10 @@ from repro.litmus.generate import (
 )
 from repro.litmus.models import VIOLATED
 
-# NOTE: repro.recovery (and repro.experiments.cache, imported lazily in
-# make_litmus_bundle) must NOT be imported at module scope: the
+# NOTE: repro.recovery must NOT be imported at module scope: the
 # workloads registry exposes the litmus corpus, so experiments.cache ->
 # runner -> workloads -> litmus -> recovery -> bundle -> cache would
-# close an import cycle. Mirror recovery.shrink's default here instead.
-DEFAULT_MAX_TRIALS = 200
-
-#: litmus bundles are their own schema (and version) — a litmus request
-#: replays a generated program, not a registry benchmark
-LITMUS_BUNDLE_VERSION = 1
-LITMUS_BUNDLE_KIND = "awg-repro-litmus-bundle"
-
-LITMUS_BUNDLE_KEYS = ("version", "kind", "request", "expected",
-                      "provenance")
+# close an import cycle. The bundle core is imported at call time.
 
 
 @dataclass(frozen=True)
@@ -86,132 +71,23 @@ class LitmusRequest:
         return run_litmus(self.program, self.policy, seed=self.seed)
 
 
-# ---------------------------------------------------------------------------
-# bundle documents
-# ---------------------------------------------------------------------------
-
-def make_litmus_bundle(
-    request: LitmusRequest,
-    expected: Dict[str, Any],
-) -> Dict[str, Any]:
-    """Build a bundle for one violating cell.
-
-    ``expected`` modes: ``{"mode": "model-violation", "model": M}`` (the
-    replay must judge model M ``violated`` again) or
-    ``{"mode": "contract", ...}`` (the replay must hang on a cell the
-    spec calls MUST_COMPLETE again)."""
-    from repro.experiments.cache import code_fingerprint
-
-    return {
-        "version": LITMUS_BUNDLE_VERSION,
-        "kind": LITMUS_BUNDLE_KIND,
-        "request": request.spec(),
-        "expected": expected,
-        "provenance": {
-            "fingerprint": code_fingerprint(),
-            "python": sys.version.split()[0],
-            "created_at": time.time(),
-        },
-    }
-
-
-def validate_litmus_bundle(bundle: Any) -> Dict[str, Any]:
-    if not isinstance(bundle, dict):
-        raise ConfigError("litmus bundle must be a JSON object")
-    if bundle.get("kind") != LITMUS_BUNDLE_KIND:
-        raise ConfigError(
-            f"not a litmus bundle (kind={bundle.get('kind')!r}, expected "
-            f"{LITMUS_BUNDLE_KIND!r})")
-    if bundle.get("version") != LITMUS_BUNDLE_VERSION:
-        raise ConfigError(
-            f"litmus bundle version {bundle.get('version')!r} not "
-            f"supported (this build reads {LITMUS_BUNDLE_VERSION})")
-    missing = [k for k in LITMUS_BUNDLE_KEYS if k not in bundle]
-    if missing:
-        raise ConfigError(f"litmus bundle missing keys: {missing}")
-    expected = bundle["expected"]
-    if not isinstance(expected, dict) or expected.get("mode") not in (
-            "model-violation", "contract"):
-        raise ConfigError(
-            "litmus bundle expected clause needs mode "
-            "'model-violation' or 'contract'")
-    if expected["mode"] == "model-violation" and "model" not in expected:
-        raise ConfigError("model-violation bundles must name the model")
-    return bundle
-
-
-def litmus_bundle_name(bundle: Dict[str, Any]) -> str:
-    request = bundle["request"]
-    canonical = json.dumps(request, sort_keys=True, separators=(",", ":"),
-                           default=str)
-    digest = hashlib.sha256(canonical.encode()).hexdigest()[:8]
-    policy = request.get("policy", {}).get("name", "policy")
-    # generated/shrunk programs have no alias; the digest still names them
-    program = request.get("program", {}).get("alias") or "generated"
-    return (f"litmus-{program}-{policy}-{bundle['expected']['mode']}-"
-            f"{digest}.json")
-
-
-def write_litmus_bundle(bundle: Dict[str, Any],
-                        out_dir: os.PathLike) -> Path:
-    validate_litmus_bundle(bundle)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / litmus_bundle_name(bundle)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w") as fh:
-            fh.write(json.dumps(bundle, indent=2, sort_keys=True,
-                                default=str))
-            fh.flush()
-            os.fsync(fh.fileno())
-        tmp.replace(path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-    return path
-
-
-def load_litmus_bundle(path: os.PathLike) -> Dict[str, Any]:
-    try:
-        document = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"no litmus bundle at {path}")
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"unreadable litmus bundle {path}: {exc}")
-    return validate_litmus_bundle(document)
-
-
-# ---------------------------------------------------------------------------
-# replay
-# ---------------------------------------------------------------------------
-
-def replay_litmus_bundle(bundle: Dict[str, Any]) -> Dict[str, Any]:
-    """Re-run a litmus bundle and check its violation recurs."""
-    validate_litmus_bundle(bundle)
-    request = LitmusRequest.from_spec(bundle["request"])
-    expected = bundle["expected"]
+def replay_litmus(request: LitmusRequest, expected: Dict[str, Any],
+                  trace: bool) -> Tuple[bool, Dict[str, Any]]:
+    """Re-run a litmus request; (did its violation recur, observed)."""
+    if trace:
+        raise ConfigError("litmus bundles cannot be replayed with a trace")
     run = request.execute()
     if expected["mode"] == "model-violation":
         judgment = run.judgments.get(expected["model"])
-        reproduced = judgment is not None and judgment.verdict == VIOLATED
-        observed = {
+        return judgment is not None and judgment.verdict == VIOLATED, {
             "mode": "model-violation",
             "model": expected["model"],
             "verdict": judgment.verdict if judgment else "missing",
         }
-    else:  # contract
-        reproduced = run.contract_violation is not None
-        observed = {
-            "mode": "contract",
-            "violation": run.contract_violation,
-            "completed": run.outcome.completed,
-        }
-    return {
-        "reproduced": reproduced,
-        "expected": expected,
-        "observed": observed,
-        "request": bundle["request"],
+    return run.contract_violation is not None, {  # contract
+        "mode": "contract",
+        "violation": run.contract_violation,
+        "completed": run.outcome.completed,
     }
 
 
@@ -226,14 +102,6 @@ def program_size(program: LitmusProgram) -> int:
                for a in script if a[0] == WORK)
     restore = 1 if program.restore_at_us is not None else 0
     return program.wgs + actions + work // 100 + restore
-
-
-def _try_canonical(program: LitmusProgram) -> Optional[LitmusProgram]:
-    try:
-        validate_program(program)
-        return canonicalize(program)
-    except ConfigError:
-        return None
 
 
 def _drop_action(script, index) -> Tuple[Any, ...]:
@@ -255,126 +123,60 @@ def _drop_action(script, index) -> Tuple[Any, ...]:
     return tuple(a for j, a in enumerate(script) if j not in drop)
 
 
-def _candidates(
+def _reductions(
     program: LitmusProgram,
-) -> Iterator[Tuple[str, str, str, LitmusProgram]]:
+) -> Iterator[Tuple[str, str, str, Optional[LitmusProgram]]]:
     """Every one-step reduction, deterministic order: whole WGs first
     (biggest steps), then single actions, then work halving, then the
-    restore window."""
+    restore window. Reductions that break program validity come out as
+    ``None``."""
+    def reduced(**changes: Any) -> Optional[LitmusProgram]:
+        try:
+            candidate = replace(program, alias=None, **changes)
+            validate_program(candidate)
+            return canonicalize(candidate)
+        except ConfigError:
+            return None
+
+    def with_script(w: int, script: Tuple[Any, ...]):
+        return reduced(scripts=tuple(script if j == w else s
+                                     for j, s in enumerate(program.scripts)))
+
     if program.wgs > 1:
         for w in range(program.wgs):
-            scripts = tuple(s for i, s in enumerate(program.scripts)
-                            if i != w)
-            candidate = _try_canonical(replace(
-                program, wgs=program.wgs - 1, scripts=scripts, alias=None))
-            if candidate is not None:
-                yield (f"program.wg{w}", "present", "dropped", candidate)
+            yield (f"program.wg{w}", "present", "dropped", reduced(
+                wgs=program.wgs - 1,
+                scripts=tuple(s for i, s in enumerate(program.scripts)
+                              if i != w)))
     for w, script in enumerate(program.scripts):
         for i in range(len(script)):
             shrunk = _drop_action(script, i)
-            if len(shrunk) == len(script):
-                continue
-            scripts = tuple(shrunk if j == w else s
-                            for j, s in enumerate(program.scripts))
-            candidate = _try_canonical(replace(program, scripts=scripts,
-                                               alias=None))
-            if candidate is not None:
+            if len(shrunk) < len(script):
                 yield (f"program.wg{w}[{i}]", script[i][0], "dropped",
-                       candidate)
+                       with_script(w, shrunk))
     for w, script in enumerate(program.scripts):
         for i, action in enumerate(script):
             if action[0] == WORK and action[1] > 100:
-                halved = script[:i] + ((WORK, action[1] // 2),) \
-                    + script[i + 1:]
-                scripts = tuple(halved if j == w else s
-                                for j, s in enumerate(program.scripts))
-                candidate = _try_canonical(replace(
-                    program, scripts=scripts, alias=None))
-                if candidate is not None:
-                    yield (f"program.wg{w}[{i}].work", str(action[1]),
-                           str(action[1] // 2), candidate)
+                halved = ((WORK, action[1] // 2),)
+                yield (f"program.wg{w}[{i}].work", str(action[1]),
+                       str(action[1] // 2),
+                       with_script(w, script[:i] + halved + script[i + 1:]))
     if program.restore_at_us is not None:
-        candidate = _try_canonical(replace(program, restore_at_us=None,
-                                           alias=None))
-        if candidate is not None:
-            yield ("program.restore_at_us", str(program.restore_at_us),
-                   "dropped", candidate)
+        yield ("program.restore_at_us", str(program.restore_at_us),
+               "dropped", reduced(restore_at_us=None))
 
 
-def shrink_litmus_bundle(
-    bundle: Dict[str, Any],
-    max_trials: int = DEFAULT_MAX_TRIALS,
-    replay=None,
-) -> "ShrinkResult":
-    """Minimize a violating litmus bundle, preserving its violation.
+def request_size(request: LitmusRequest) -> int:
+    return program_size(request.program)
 
-    Same contract as :func:`repro.recovery.shrink.shrink_bundle`: the
-    input must reproduce as-is, the search is greedy and deterministic,
-    and every accepted step strictly shrinks :func:`program_size`."""
-    from repro.recovery.shrink import ShrinkResult
 
-    validate_litmus_bundle(bundle)
-    replay = replay or replay_litmus_bundle
-    expected = bundle["expected"]
-    request = LitmusRequest.from_spec(bundle["request"])
-
-    def bundle_for(req: LitmusRequest) -> Dict[str, Any]:
-        return make_litmus_bundle(req, expected)
-
-    trials = 0
-
-    def reproduces(req: LitmusRequest) -> bool:
-        nonlocal trials
-        trials += 1
-        try:
-            return bool(replay(bundle_for(req))["reproduced"])
-        except ReproError:
-            return False
-
-    initial_size = program_size(request.program)
-    if not reproduces(request):
-        raise ReproError(
-            "litmus bundle does not reproduce its violation as-is; "
-            "nothing to shrink (check the code fingerprint in its "
-            "provenance)")
-
-    log: List[Dict[str, Any]] = []
-    step = 0
-    improved = True
-    current = request
-    while improved and trials < max_trials:
-        improved = False
-        size = program_size(current.program)
-        for dimension, src, dst, candidate in _candidates(current.program):
-            if trials >= max_trials:
-                break
-            candidate_size = program_size(candidate)
-            if candidate_size >= size:
-                continue
-            candidate_request = replace(current, program=candidate)
-            accepted = reproduces(candidate_request)
-            step += 1
-            log.append({
-                "step": step,
-                "dimension": dimension,
-                "from": src,
-                "to": dst,
-                "accepted": accepted,
-                "size": candidate_size,
-            })
-            if accepted:
-                current = candidate_request
-                improved = True
-                break
-
-    return ShrinkResult(
-        original=bundle,
-        minimal=bundle_for(current),
-        log=log,
-        trials=trials,
-        initial_size=initial_size,
-        final_size=program_size(current.program),
-    )
+def _candidates(
+    request: LitmusRequest,
+) -> Iterator[Tuple[str, str, str, LitmusRequest]]:
+    """The valid one-step reductions of a request's program."""
+    for dimension, src, dst, program in _reductions(request.program):
+        if program is not None:
+            yield dimension, src, dst, replace(request, program=program)
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +193,9 @@ def emit_violation_bundles(
     """Write one bundle per contract-violating run in ``report``;
     with ``shrink=True`` each is minimized first (bounded trials so CI
     stays fast)."""
+    from repro.recovery.bundle import make_bundle, write_bundle
+    from repro.recovery.shrink import shrink_bundle
+
     paths: List[Path] = []
     for run in report.violating_runs():
         request = LitmusRequest(
@@ -398,15 +203,15 @@ def emit_violation_bundles(
             policy=named_policy(run.policy),
             seed=seed,
         )
-        bundle = make_litmus_bundle(request, {
+        bundle = make_bundle(request, expected={
             "mode": "contract",
             "expected_verdict": run.expected,
         })
         if shrink:
             try:
-                bundle = shrink_litmus_bundle(
+                bundle = shrink_bundle(
                     bundle, max_trials=max_trials).minimal
             except ReproError:
                 pass  # keep the unshrunk bundle if replay is flaky
-        paths.append(write_litmus_bundle(bundle, out_dir))
+        paths.append(write_bundle(bundle, out_dir))
     return paths

@@ -1,20 +1,22 @@
-"""Repro bundles: self-contained, replayable records of failing cells.
+"""Repro bundles: self-contained, replayable records of failures.
 
 A bundle is one JSON document carrying everything needed to re-run a
-failing matrix cell on another machine with no access to the sweep that
-produced it: the cell's canonical :meth:`RunRequest.spec` (benchmark,
-policy, scenario, fault plan, seed, overrides), the *expected* failure
-(what must happen again for the replay to count as a reproduction), the
-original structured failure record, and provenance (code fingerprint,
-python, timestamp).
+failure on another machine with no access to the run that produced it:
+the canonical request spec, the *expected* failure (what must happen
+again for the replay to count as a reproduction), and provenance (code
+fingerprint, python, timestamp). One core serves two kinds, told apart
+by the ``kind`` field and described by the fixed table :data:`KINDS`:
+``awg-repro-bundle`` (a failing matrix cell's
+:class:`~repro.experiments.matrix.RunRequest` plus its structured
+``failure`` record; emitted by checkpointed sweeps via ``bundle_dir`` /
+``REPRO_BUNDLE_DIR`` and by the fault-injection campaign) and
+``awg-repro-litmus-bundle`` (a violating
+:class:`~repro.litmus.shrinklink.LitmusRequest`, no ``failure`` key;
+emitted by ``litmus run --bundles``). Both are consumed by
+``python -m repro replay BUNDLE`` and the :mod:`repro.recovery.shrink`
+minimizer.
 
-Bundles are emitted automatically by checkpointed sweeps
-(``bundle_dir`` / ``REPRO_BUNDLE_DIR`` on
-:func:`~repro.experiments.matrix.run_matrix`) and by the fault-injection
-campaign, and consumed by ``python -m repro replay BUNDLE`` and the
-:mod:`repro.recovery.shrink` minimizer.
-
-Expected-failure modes (``bundle["expected"]["mode"]``):
+Expected-failure modes (``bundle["expected"]["mode"]``) of cell bundles:
 
 ``diagnosis``
     the run must end in a watchdog diagnosis with the same stable
@@ -29,6 +31,9 @@ Expected-failure modes (``bundle["expected"]["mode"]``):
     replayed with the dynamic sync sanitizer attached, the run must
     report at least one data race or lock error
 
+Litmus bundles expect ``model-violation`` (the named ``model`` is judged
+``violated`` again) or ``contract`` (a ``MUST_COMPLETE`` cell hangs again).
+
 The schema is versioned (:data:`BUNDLE_VERSION`); loaders reject
 bundles from other versions rather than mis-replaying them.
 """
@@ -36,29 +41,91 @@ bundles from other versions rather than mis-replaying them.
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.durability import vfs
-from repro.errors import ConfigError, ReproError
+from repro.errors import ConfigError
 from repro.experiments.cache import code_fingerprint, result_to_payload
 from repro.gpu.diagnostics import diagnosis_signature
 
 #: bump when the bundle layout changes; replay refuses other versions
 BUNDLE_VERSION = 1
 
-#: the document's ``kind`` marker (distinguishes bundles from manifests
-#: and cache entries when pointed at the wrong file)
+#: the ``kind`` markers (also tell bundles from manifests and cache
+#: entries when pointed at the wrong file)
 BUNDLE_KIND = "awg-repro-bundle"
+LITMUS_BUNDLE_KIND = "awg-repro-litmus-bundle"
 
-#: top-level keys every valid bundle carries, schema-stability-tested
+#: top-level keys every valid cell bundle carries, schema-stability-tested
 BUNDLE_KEYS = ("version", "kind", "request", "expected", "failure",
                "provenance")
+
+
+@dataclass(frozen=True)
+class BundleKind:
+    """What differs between bundle kinds. Code hooks are
+    ``"module:attr"`` references imported on first use: every worker
+    loads :mod:`repro.litmus` through the workload registry, so neither
+    side may import the other at module scope."""
+
+    keys: Tuple[str, ...]  # top-level document keys
+    request_keys: Tuple[str, ...]  # request spec must carry these
+    modes: Dict[str, Tuple[str, ...]]  # mode -> keys its clause needs
+    label: Callable[[Dict[str, Any]], str]  # request spec -> name label
+    codec: str  # request class: spec() / from_spec()
+    replay: str  # (request, expected, trace) -> (reproduced, observed)
+    size: str  # request -> size each shrink step strictly reduces
+    candidates: str  # request -> (dimension, from, to, smaller request)
+
+    def hook(self, name: str) -> Any:
+        module, attr = getattr(self, name).split(":")
+        return getattr(importlib.import_module(module), attr)
+
+
+def _cell_label(request: Dict[str, Any]) -> str:
+    policy = request.get("policy", {}).get("name", "policy")
+    scenario = request.get("scenario", {}).get("label", "scenario")
+    return f"{request['benchmark']}-{policy}-{scenario}"
+
+
+def _litmus_label(request: Dict[str, Any]) -> str:
+    policy = request.get("policy", {}).get("name", "policy")
+    # generated/shrunk programs have no alias; the digest still names them
+    program = request.get("program", {}).get("alias") or "generated"
+    return f"litmus-{program}-{policy}"
+
+
+#: every bundle kind, keyed by the document's ``kind`` field
+KINDS: Dict[str, BundleKind] = {
+    BUNDLE_KIND: BundleKind(
+        keys=BUNDLE_KEYS,
+        request_keys=("benchmark", "policy", "scenario"),
+        modes={"diagnosis": (), "exception": (), "timeout": (),
+               "race": ()},
+        label=_cell_label,
+        codec="repro.experiments.matrix:RunRequest",
+        replay="repro.recovery.bundle:_replay_cell",
+        size="repro.recovery.shrink:bundle_size",
+        candidates="repro.recovery.shrink:_candidates",
+    ),
+    LITMUS_BUNDLE_KIND: BundleKind(
+        keys=tuple(k for k in BUNDLE_KEYS if k != "failure"),
+        request_keys=("program", "policy"),
+        modes={"model-violation": ("model",), "contract": ()},
+        label=_litmus_label,
+        codec="repro.litmus.shrinklink:LitmusRequest",
+        replay="repro.litmus.shrinklink:replay_litmus",
+        size="repro.litmus.shrinklink:request_size",
+        candidates="repro.litmus.shrinklink:_candidates",
+    ),
+}
 
 
 def derive_expected(
@@ -95,14 +162,34 @@ def make_bundle(
     result: Any = None,
     expected: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
-    """Build a bundle document for one failing cell.
+    """Build a bundle document for one failing request.
 
-    ``request`` is a :class:`~repro.experiments.matrix.RunRequest` (or
-    anything with a compatible ``spec()``); ``expected`` overrides the
-    derived expected-failure clause (required for ``race`` bundles,
-    whose evidence lives in the sanitizer, not the result)."""
+    ``request`` is a :class:`~repro.experiments.matrix.RunRequest` or a
+    :class:`~repro.litmus.shrinklink.LitmusRequest` (anything whose
+    ``spec()`` carries one kind's request keys picks that kind);
+    ``expected`` overrides the expected-failure clause derived from
+    ``failure`` / ``result`` (required for ``race`` and litmus bundles,
+    whose evidence does not live in a failure record)."""
+    spec = request.spec()
+    kind = next((name for name, entry in KINDS.items()
+                 if all(key in spec for key in entry.request_keys)), None)
+    if kind is None:
+        raise ConfigError("request spec matches no bundle kind")
     if expected is None:
         expected = derive_expected(failure=failure, result=result)
+    bundle = {
+        "version": BUNDLE_VERSION,
+        "kind": kind,
+        "request": spec,
+        "expected": expected,
+        "provenance": {
+            "fingerprint": code_fingerprint(),
+            "python": sys.version.split()[0],
+            "created_at": time.time(),
+        },
+    }
+    if "failure" not in KINDS[kind].keys:
+        return bundle
     trimmed_failure = None
     if failure is not None:
         trimmed_failure = {k: failure[k] for k in
@@ -115,60 +202,64 @@ def make_bundle(
             "classification": "deterministic",
             "diagnosis": getattr(result, "diagnosis", None),
         }
-    return {
-        "version": BUNDLE_VERSION,
-        "kind": BUNDLE_KIND,
-        "request": request.spec(),
-        "expected": expected,
-        "failure": trimmed_failure,
-        "provenance": {
-            "fingerprint": code_fingerprint(),
-            "python": sys.version.split()[0],
-            "created_at": time.time(),
-        },
-    }
+    bundle["failure"] = trimmed_failure
+    return bundle
 
 
 def validate_bundle(bundle: Any) -> Dict[str, Any]:
     """Check a loaded document is a replayable bundle; returns it."""
     if not isinstance(bundle, dict):
         raise ConfigError("bundle must be a JSON object")
-    if bundle.get("kind") != BUNDLE_KIND:
+    kind = bundle.get("kind")
+    entry = KINDS.get(kind)
+    if entry is None:
         raise ConfigError(
-            f"not a repro bundle (kind={bundle.get('kind')!r}, "
-            f"expected {BUNDLE_KIND!r})")
+            f"not a repro bundle (kind={kind!r}, expected one of "
+            f"{sorted(KINDS)})")
     if bundle.get("version") != BUNDLE_VERSION:
         raise ConfigError(
             f"bundle version {bundle.get('version')!r} is not supported "
             f"(this build reads version {BUNDLE_VERSION})")
-    missing = [k for k in BUNDLE_KEYS if k not in bundle]
+    missing = [k for k in entry.keys if k not in bundle]
     if missing:
-        raise ConfigError(f"bundle is missing keys: {missing}")
+        raise ConfigError(f"{kind} is missing keys: {missing}")
     request = bundle["request"]
     if not isinstance(request, dict) or not all(
-            k in request for k in ("benchmark", "policy", "scenario")):
+            k in request for k in entry.request_keys):
         raise ConfigError(
-            "bundle request must carry benchmark/policy/scenario specs")
+            f"{kind} request must carry "
+            f"{'/'.join(entry.request_keys)} specs")
     expected = bundle["expected"]
     if not isinstance(expected, dict) or "mode" not in expected:
         raise ConfigError("bundle expected clause must carry a mode")
-    if expected["mode"] not in ("diagnosis", "exception", "timeout", "race"):
+    required = entry.modes.get(expected["mode"])
+    if required is None:
         raise ConfigError(
-            f"unknown expected-failure mode {expected['mode']!r}")
+            f"unknown expected-failure mode {expected['mode']!r} for "
+            f"{kind} (expected one of {sorted(entry.modes)})")
+    absent = [k for k in required if k not in expected]
+    if absent:
+        raise ConfigError(
+            f"{expected['mode']} bundles must name {', '.join(absent)} "
+            f"in their expected clause")
     return bundle
 
 
+def bundle_kind(bundle: Any) -> BundleKind:
+    """The :data:`KINDS` entry of a bundle (validated first)."""
+    return KINDS[validate_bundle(bundle)["kind"]]
+
+
 def bundle_name(bundle: Dict[str, Any]) -> str:
-    """Deterministic filename: cell identity + expected mode + spec hash
-    (the hash keeps shrunken variants of the same cell distinct)."""
+    """Deterministic filename: the kind's label (cell or program
+    identity) + expected mode + spec hash (the hash keeps shrunken
+    variants of the same cell distinct)."""
     request = bundle["request"]
     canonical = json.dumps(request, sort_keys=True, separators=(",", ":"),
                            default=str)
     digest = hashlib.sha256(canonical.encode()).hexdigest()[:8]
-    policy = request.get("policy", {}).get("name", "policy")
-    scenario = request.get("scenario", {}).get("label", "scenario")
-    return (f"{request['benchmark']}-{policy}-{scenario}-"
-            f"{bundle['expected']['mode']}-{digest}.json")
+    label = KINDS[bundle["kind"]].label(request)
+    return f"{label}-{bundle['expected']['mode']}-{digest}.json"
 
 
 def write_bundle(bundle: Dict[str, Any],
@@ -257,37 +348,32 @@ def _observe(request: Any, expected: Dict[str, Any],
             "result": result_to_payload(replace(result, gpu=None))}
 
 
-def _matches(expected: Dict[str, Any], observed: Dict[str, Any]) -> bool:
-    if expected["mode"] != observed["mode"]:
-        return False
-    if expected["mode"] == "diagnosis":
-        return expected.get("signature") == observed.get("signature")
-    if expected["mode"] == "exception":
-        return expected.get("type") == observed.get("type")
-    return True  # timeout / race: reaching the mode is the reproduction
+def _replay_cell(request: Any, expected: Dict[str, Any],
+                 trace: bool) -> Tuple[bool, Dict[str, Any]]:
+    observed = _observe(request, expected, trace=trace)
+    # timeout / race: reaching the mode is the reproduction
+    key = {"diagnosis": "signature", "exception": "type"}.get(
+        expected["mode"])
+    return (expected["mode"] == observed["mode"] and (
+        key is None or expected.get(key) == observed.get(key))), observed
 
 
 def replay_bundle(bundle: Dict[str, Any],
                   trace: bool = False) -> Dict[str, Any]:
-    """Re-run a bundle's cell and check the recorded failure recurs.
+    """Re-run a bundle's request and check the recorded failure recurs.
 
     Returns ``{"reproduced", "expected", "observed", "request"}``;
-    ``observed`` carries the replayed result payload (and, with
-    ``trace=True``, its exported Chrome trace inside that payload) for
-    post-mortem inspection."""
-    validate_bundle(bundle)
-    from repro.experiments.matrix import RunRequest
-
-    request = RunRequest.from_spec(bundle["request"])
+    ``observed`` carries what the replay saw — for cells the replayed
+    result payload (and, with ``trace=True``, its exported Chrome trace
+    inside that payload) for post-mortem inspection. Litmus bundles
+    cannot be traced."""
+    kind = bundle_kind(bundle)
+    request = kind.hook("codec").from_spec(bundle["request"])
     expected = bundle["expected"]
-    observed = _observe(request, expected, trace=trace)
+    reproduced, observed = kind.hook("replay")(request, expected, trace)
     return {
-        "reproduced": _matches(expected, observed),
+        "reproduced": reproduced,
         "expected": expected,
         "observed": observed,
         "request": bundle["request"],
     }
-
-
-class ReplayMismatch(ReproError):
-    """A replayed bundle did not reproduce its recorded failure."""

@@ -1,19 +1,22 @@
-"""Delta-debugging minimizer for failing repro bundles.
+"""Delta-debugging minimizer for failing repro bundles of either kind.
 
 ``python -m repro shrink BUNDLE`` takes a bundle whose failure replays
-(:func:`~repro.recovery.bundle.replay_bundle`) and greedily shrinks the
-*scenario* (WG count, group size, residency, iterations, episodes) and
-the *fault plan* (dropping whole fault families, then reducing each
-family's event counts) while re-replaying after every candidate step and
-keeping only steps that preserve the failure.
+(:func:`~repro.recovery.bundle.replay_bundle`) and greedily applies the
+one-step reductions its kind offers, re-replaying after every candidate
+step and keeping only steps that preserve the failure. For matrix-cell
+bundles (defined here) those shrink the *scenario* (WG count, group
+size, residency, iterations, episodes) and the *fault plan* (dropping
+whole fault families, then reducing each family's event counts); for
+litmus bundles (:mod:`repro.litmus.shrinklink`) they shrink the program.
 
 The search is deterministic: candidates are enumerated in a fixed order,
 the simulator is seeded, and every accepted step strictly reduces the
-combined size metric (scenario knob sum + :meth:`FaultPlan.weight`), so
-two invocations on the same bundle produce the same minimal bundle and
-the same shrink log. Termination is guaranteed by monotonicity — the
-size metric is a non-negative integer that decreases on every accepted
-step — plus a trial budget for pathological predicates.
+kind's size metric (for cells: scenario knob sum +
+:meth:`FaultPlan.weight`), so two invocations on the same bundle
+produce the same minimal bundle and the same shrink log. Termination is
+guaranteed by monotonicity — the size metric is a non-negative integer
+that decreases on every accepted step — plus a trial budget for
+pathological predicates.
 """
 
 from __future__ import annotations
@@ -79,6 +82,12 @@ def bundle_size(request: Any) -> int:
     return total
 
 
+def _halve(obj: Any, knob: str) -> Tuple[str, str, Any]:
+    """(from, to, ``obj`` with ``knob`` halved)."""
+    value = getattr(obj, knob)
+    return str(value), str(value // 2), replace(obj, **{knob: value // 2})
+
+
 def _plan_candidates(
     plan: FaultPlan,
 ) -> Iterator[Tuple[str, str, str, FaultPlan]]:
@@ -89,65 +98,38 @@ def _plan_candidates(
         if part is not None:
             yield (f"plan.{key}", "present", "dropped",
                    plan.with_part(key, None))
-    if plan.storm is not None:
-        storm = plan.storm
-        if storm.storms > 1:
-            yield ("plan.storm.storms", str(storm.storms),
-                   str(storm.storms // 2),
-                   plan.with_part("storm",
-                                  replace(storm, storms=storm.storms // 2)))
-        if storm.severity > 1:
-            yield ("plan.storm.severity", str(storm.severity),
-                   str(storm.severity // 2),
-                   plan.with_part(
-                       "storm", replace(storm, severity=storm.severity // 2)))
-    if plan.notify is not None:
-        notify = plan.notify
-        if notify.drop_prob > 0 and notify.delay_prob > 0:
-            yield ("plan.notify.delay_prob", str(notify.delay_prob), "0",
-                   plan.with_part("notify", replace(notify, delay_prob=0.0)))
-            yield ("plan.notify.drop_prob", str(notify.drop_prob), "0",
-                   plan.with_part("notify", replace(notify, drop_prob=0.0)))
-    if plan.mem is not None and plan.mem.spikes > 1:
-        yield ("plan.mem.spikes", str(plan.mem.spikes),
-               str(plan.mem.spikes // 2),
-               plan.with_part("mem",
-                              replace(plan.mem, spikes=plan.mem.spikes // 2)))
-    if plan.predictor is not None and plan.predictor.insertions > 1:
-        yield ("plan.predictor.insertions", str(plan.predictor.insertions),
-               str(plan.predictor.insertions // 2),
-               plan.with_part(
-                   "predictor",
-                   replace(plan.predictor,
-                           insertions=plan.predictor.insertions // 2)))
+
+    def halve(key: str, knob: str) -> Iterator[Tuple[str, str, str, Any]]:
+        part = getattr(plan, key)
+        if part is not None and getattr(part, knob) > 1:
+            src, dst, smaller = _halve(part, knob)
+            yield (f"plan.{key}.{knob}", src, dst,
+                   plan.with_part(key, smaller))
+
+    yield from halve("storm", "storms")
+    yield from halve("storm", "severity")
+    notify = plan.notify
+    if notify is not None and notify.drop_prob > 0 and notify.delay_prob > 0:
+        for knob in ("delay_prob", "drop_prob"):
+            yield (f"plan.notify.{knob}", str(getattr(notify, knob)), "0",
+                   plan.with_part("notify", replace(notify, **{knob: 0.0})))
+    yield from halve("mem", "spikes")
+    yield from halve("predictor", "insertions")
 
 
 def _scenario_candidates(scenario: Any) -> Iterator[Tuple[str, str, str, Any]]:
     """Halving reductions of the scenario's scale knobs, fixed order.
     ``total_wgs`` stays a multiple of ``wgs_per_group`` so work-group
     grids remain well-formed."""
-    if (scenario.total_wgs > scenario.wgs_per_group
-            and (scenario.total_wgs // 2) % scenario.wgs_per_group == 0):
-        yield ("scenario.total_wgs", str(scenario.total_wgs),
-               str(scenario.total_wgs // 2),
-               replace(scenario, total_wgs=scenario.total_wgs // 2))
-    if (scenario.wgs_per_group > 1
-            and scenario.total_wgs % (scenario.wgs_per_group // 2) == 0):
-        yield ("scenario.wgs_per_group", str(scenario.wgs_per_group),
-               str(scenario.wgs_per_group // 2),
-               replace(scenario, wgs_per_group=scenario.wgs_per_group // 2))
-    if scenario.max_wgs_per_cu > 1:
-        yield ("scenario.max_wgs_per_cu", str(scenario.max_wgs_per_cu),
-               str(scenario.max_wgs_per_cu // 2),
-               replace(scenario, max_wgs_per_cu=scenario.max_wgs_per_cu // 2))
-    if scenario.iterations > 1:
-        yield ("scenario.iterations", str(scenario.iterations),
-               str(scenario.iterations // 2),
-               replace(scenario, iterations=scenario.iterations // 2))
-    if scenario.episodes > 1:
-        yield ("scenario.episodes", str(scenario.episodes),
-               str(scenario.episodes // 2),
-               replace(scenario, episodes=scenario.episodes // 2))
+    total, per_group = scenario.total_wgs, scenario.wgs_per_group
+    allowed = {
+        "total_wgs": total > per_group and (total // 2) % per_group == 0,
+        "wgs_per_group": per_group > 1 and total % (per_group // 2) == 0,
+    }
+    for knob in ("total_wgs", "wgs_per_group", "max_wgs_per_cu",
+                 "iterations", "episodes"):
+        if allowed.get(knob, getattr(scenario, knob) > 1):
+            yield (f"scenario.{knob}", *_halve(scenario, knob))
 
 
 def _candidates(request: Any) -> Iterator[Tuple[str, str, str, Any]]:
@@ -169,7 +151,9 @@ def shrink_bundle(
     max_trials: int = DEFAULT_MAX_TRIALS,
     replay: Optional[Callable[[Dict[str, Any]], Dict[str, Any]]] = None,
 ) -> ShrinkResult:
-    """Minimize a failing bundle while preserving its failure.
+    """Minimize a failing bundle of either kind while preserving its
+    failure; the kind's :data:`~repro.recovery.bundle.KINDS` entry
+    supplies the size metric and the candidate reductions.
 
     The input bundle must reproduce (its replay must match its expected
     clause) — a bundle that does not reproduce as-is cannot be shrunk
@@ -177,11 +161,11 @@ def shrink_bundle(
     the replay function (unit tests substitute a synthetic predicate).
     """
     # lazy: matrix (via bundle) must stay import-cycle-free with recovery
-    from repro.experiments.matrix import RunRequest
-    from repro.recovery.bundle import make_bundle, replay_bundle, \
-        validate_bundle
+    from repro.recovery.bundle import bundle_kind, make_bundle, \
+        replay_bundle
 
-    validate_bundle(bundle)
+    kind = bundle_kind(bundle)
+    size, candidates = kind.hook("size"), kind.hook("candidates")
     replay = replay or replay_bundle
     expected = bundle["expected"]
 
@@ -199,8 +183,8 @@ def shrink_bundle(
         except ReproError:
             return False  # candidate spec is not even constructible
 
-    current = RunRequest.from_spec(bundle["request"])
-    initial_size = bundle_size(current)
+    current = kind.hook("codec").from_spec(bundle["request"])
+    initial_size = size(current)
     if not reproduces(current):
         raise ReproError(
             "bundle does not reproduce its recorded failure as-is; "
@@ -212,12 +196,12 @@ def shrink_bundle(
     improved = True
     while improved and trials < max_trials:
         improved = False
-        size = bundle_size(current)
-        for dimension, src, dst, candidate in _candidates(current):
+        current_size = size(current)
+        for dimension, src, dst, candidate in candidates(current):
             if trials >= max_trials:
                 break
-            candidate_size = bundle_size(candidate)
-            if candidate_size >= size:
+            candidate_size = size(candidate)
+            if candidate_size >= current_size:
                 continue  # not a strict reduction; skip without a replay
             accepted = reproduces(candidate)
             step += 1
@@ -240,5 +224,5 @@ def shrink_bundle(
         log=log,
         trials=trials,
         initial_size=initial_size,
-        final_size=bundle_size(current),
+        final_size=size(current),
     )

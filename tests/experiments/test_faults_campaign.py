@@ -7,9 +7,11 @@ import pytest
 
 from repro.core.policies import awg, baseline
 from repro.experiments import faults_campaign
+from repro.durability import vfs
 from repro.experiments.faults_campaign import (
-    SMOKE_SCALE, CampaignResult, _expectation,
+    SMOKE_SCALE, CampaignResult, _emit_violation_bundles, _expectation,
 )
+from repro.experiments.matrix import RunRequest
 from repro.faults.plan import named_plan
 from repro.recovery.bundle import load_bundle, replay_bundle
 
@@ -84,9 +86,30 @@ def test_violating_cells_emit_replayable_shrunk_bundles(tmp_path):
     log = json.loads(log_path.read_text())
     assert log["source"] == str(bundle_path)
     assert log["final_size"] < log["initial_size"]
-    minimal = next(p for p in tmp_path.glob("*.json")
-                   if p not in (bundle_path, log_path))
-    assert replay_bundle(load_bundle(minimal))["reproduced"]
+    assert replay_bundle(load_bundle(log["minimal"]))["reproduced"]
+
+
+def test_shrink_log_is_written_through_vfs_and_points_at_minimal(tmp_path):
+    """Regression: the shrink log records where the content-named
+    minimal bundle went, and both go through the durability gateway."""
+    request = RunRequest("SPM_G", awg(), SMOKE_SCALE.scaled(total_wgs=0),
+                         validate=False)
+    failure = {"type": "ConfigError", "message": "total_wgs",
+               "classification": "deterministic"}
+    cell = type("Cell", (), {"result": None, "failure": failure})()
+    with vfs.armed(tmp_path) as gateway:
+        paths = _emit_violation_bundles(tmp_path, [(request, cell)], True)
+    bundle_path, log_path = map(Path, paths)
+    assert log_path.name == bundle_path.stem + ".shrinklog.json"
+    renamed = {r.dest for r in gateway.log if r.op == "rename"}
+    assert log_path.name in renamed
+    log = json.loads(log_path.read_text())
+    minimal = Path(log["minimal"])
+    assert minimal.name in renamed and minimal != bundle_path
+    assert not list(tmp_path.glob("*.min.json"))
+    bundle = load_bundle(minimal)
+    assert bundle["request"] != load_bundle(bundle_path)["request"]
+    assert replay_bundle(bundle)["reproduced"]
 
 
 def test_expectation_table():

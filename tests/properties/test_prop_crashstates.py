@@ -11,7 +11,7 @@ a pure function of the log) drive three properties:
   crash point is never dropped and never torn, in any state.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.durability.crashstates import (
@@ -79,6 +79,9 @@ def test_enumeration_is_deterministic_for_a_fixed_log(program):
 
 @settings(max_examples=60)
 @given(programs)
+# a rename an honest fsync already made durable must never be dropped
+@example([("creat", "a"), ("rename", "a", "b"), ("fsync", "a", True),
+          ("creat", "b")])
 def test_every_enumerated_state_is_legal(program):
     log = _build_log(program)
     for state in enumerate_crash_states(log):
