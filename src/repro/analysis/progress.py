@@ -2,7 +2,7 @@
 
 For every shipped benchmark the pass
 
-1. resolves its :class:`~repro.workloads.roles.SyncProtocol` to the
+1. resolves its :class:`~repro.sync.roles.SyncProtocol` to the
    kernel functions that implement it (the heterosync body plus the
    sync-primitive methods, found by qualified name in the protocol
    source modules),
@@ -11,7 +11,7 @@ For every shipped benchmark the pass
    *write site*,
 3. matches each wait to the writes that can satisfy it by storage
    family (``self.lock_addr`` ↔ ``atomic_exch(self.lock_addr, 0)``),
-   consulting :func:`~repro.workloads.roles.kernel_roles` hints where
+   consulting :func:`~repro.sync.roles.kernel_roles` hints where
    the address is computed (``self._slot(ticket)``), and
 4. assigns work-group *roles* to both ends — from hints, or inferred
    from role-divergent guards (``is_group_leader(...)``, ``group ==

@@ -524,8 +524,9 @@ def _run_fabric_command(opts, parser) -> int:
     """Distributed sweeps: run/resume on a leased worker fleet, inspect
     live fabric directories, or run the chaos drill."""
     from repro.experiments.matrix import RunRequest
-    from repro.fabric.coordinator import run_fabric
-    from repro.fabric.lease import default_fabric_root, iter_fabric_dirs
+    from repro.fabric.fleet import (
+        FabricDir, Worker, default_fabric_root, run_fabric,
+    )
     from repro.recovery.manifest import (
         default_checkpoint_dir, list_manifests, load_manifest,
     )
@@ -535,20 +536,25 @@ def _run_fabric_command(opts, parser) -> int:
 
     if sub == "status":
         root = default_fabric_root()
-        dirs = list(iter_fabric_dirs(root))
+        dirs = [FabricDir(path) for path in sorted(root.glob("*"))
+                if (path / "sweep.json").exists()]
         print(f"fabric root: {root}")
         if not dirs:
             print("no fabric sweeps (directories appear while "
                   "`fabric run` is in flight)")
             return 0
         for fabric_dir in dirs:
-            sweep = fabric_dir.read_sweep() or {}
-            cells = sweep.get("cells", [])
-            done = sum(1 for cell in cells
-                       if fabric_dir.has_result(cell["key"]))
+            sweep = fabric_dir.read_sweep()
+            if sweep is None:
+                print(f"  {fabric_dir.root.name}: unreadable sweep.json")
+                continue
+            cells = sweep["cells"]
+            cache = ResultCache(sweep["cache"])
+            done = sum(1 for cell in cells if cell["cache_key"] in cache)
             held = fabric_dir.live_leases()
             line = (f"  {fabric_dir.root.name}: {done}/{len(cells)} "
-                    f"cells committed, {len(held)} lease(s) held")
+                    f"published cells committed, {len(held)} lease(s) "
+                    f"held")
             stop = fabric_dir.stopped()
             if stop:
                 line += f" [stopped: {stop}]"
@@ -563,11 +569,16 @@ def _run_fabric_command(opts, parser) -> int:
         return 0 if report.ok else 1
 
     if sub == "worker":
-        from repro.fabric import worker as fabric_worker
-
         if len(opts.args) != 2:
             parser.error("fabric worker needs DIR")
-        return fabric_worker.main(["--dir", opts.args[1]])
+        import os
+        import signal
+
+        def _exit(_signum, _frame):
+            raise SystemExit(0)  # releases the held lease on the way out
+
+        signal.signal(signal.SIGTERM, _exit)
+        return Worker(opts.args[1], f"w{os.getpid()}").run()
 
     if sub == "run":
         if opts.resume:

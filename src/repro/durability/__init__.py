@@ -1,7 +1,7 @@
 """Crash-consistency harness for the durable-state layer.
 
-The repo's durability claims — atomic cache entries, torn-tail-tolerant
-journals, exactly-once fabric commits, resumable checkpoint manifests —
+The repo's durability claims — atomic, exactly-once result-cache
+commits, recoverable fabric leases, resumable checkpoint manifests —
 were only ever exercised by process-kill chaos, never by the failure
 modes real filesystems exhibit: torn writes, data lost because it was
 never fsynced, EIO/ENOSPC, renames that land before their data. This
@@ -18,7 +18,7 @@ package turns those claims into executable specs:
     scratch directories for recovery-path testing.
 :mod:`repro.durability.harness`
     the subsystem scenarios (result cache, checkpoint manifest, fabric
-    lease/journal/commit), their recovery invariants, and the CLI
+    leases and sweep document), their recovery invariants, and the CLI
     behind ``python -m repro durability`` / ``make durability-smoke``.
 """
 

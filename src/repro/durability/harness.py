@@ -12,18 +12,20 @@ durability invariants:
     ``get`` + ``verify``. Invariants: ``get`` never raises and never
     returns a payload other than the one committed for its key (torn
     entries must self-heal to a miss); ``verify`` never raises.
+    The cache's ``put`` is the repo's one exactly-once commit (the
+    fabric commits through it too), so this scenario covers commits.
 ``manifest``
     :class:`~repro.recovery.manifest.SweepCheckpoint` record/flush →
     recovery is ``SweepCheckpoint.open`` (resume). Invariants: resume
     never raises, adopts only cells that were recorded, and every
     adopted payload is bit-identical to the uninterrupted run's.
 ``fabric``
-    :class:`~repro.fabric.lease.FabricDir` claims, journal appends,
-    exactly-once commits → recovery is the reader surface (sweep doc,
-    results + digests, journals). Invariants: readers never raise, a
-    digest-valid committed result is bit-identical to the committed
-    payload (exactly-once: never a rival's, never a blend), journal
-    readers skip torn tails and parse only records that were written.
+    :class:`~repro.fabric.fleet.FabricDir` sweep publication and lease
+    claim/release/steal → recovery reads ``sweep.json`` and the leases,
+    then steals and re-claims every cell. Invariants: nothing raises, a
+    readable ``sweep.json`` is the published document, a readable
+    lease names the owner that claimed it, and every cell can be
+    claimed again.
 
 Campaigns re-run the same scenarios with a fault-injecting
 :class:`~repro.durability.vfs.DurabilityPlan` armed: the production
@@ -47,7 +49,7 @@ import os
 import shutil
 import tempfile
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -105,13 +107,19 @@ def _cache_workload(root: Path) -> Dict[str, Any]:
     from repro.experiments.cache import ResultCache, result_to_payload
 
     cache = ResultCache(root, fingerprint=_FINGERPRINT)
+    # a second writer racing every key: the link commit lets one win
+    rival = ResultCache(root, fingerprint=_FINGERPRINT)
     expected = {}
     for tag, result in _sample_results().items():
         key = cache.key_for({"cell": tag, "scenario": "durability"})
-        cache.put(key, result)
-        expected[key] = result_to_payload(result)
-    return {"expected": expected, "dropped": cache.dropped,
-            "degraded": cache.degraded}
+        late = replace(result, cycles=result.cycles + 1)
+        stored = [candidate for writer, candidate
+                  in ((cache, result), (rival, late))
+                  if writer.put(key, candidate)]
+        if len(stored) > 1:
+            raise AssertionError("two commits of one cache key won")
+        expected[key] = result_to_payload((stored or [result])[0])
+    return {"expected": expected}
 
 
 def _cache_check(image: Path, context: Dict[str, Any]) -> List[str]:
@@ -191,76 +199,58 @@ def _manifest_check(image: Path, context: Dict[str, Any]) -> List[str]:
 
 
 def _fabric_workload(root: Path) -> Dict[str, Any]:
-    from repro.experiments.cache import result_to_payload
-    from repro.fabric.lease import FabricDir
+    from repro.fabric.fleet import SWEEP_VERSION, FabricDir
 
     fab = FabricDir(root)
     fab.init()
-    fab.publish_sweep({"fingerprint": _FINGERPRINT,
-                       "cells": [{"key": f"cell-{t}"} for t in "ab"]})
-    results = _sample_results()
-    expected = {}
-    events = []
-    for tag in ("a", "b"):
+    sweep = {"fingerprint": _FINGERPRINT,
+             "cells": [{"key": f"cell-{t}"} for t in "ab"]}
+    fab.publish_sweep(sweep)
+    tokens = {}
+    for tag in "ab":
         key = f"cell-{tag}"
         lease = fab.claim(key, "w0", ttl=5.0)
-        fab.append_event("claim", key=key, worker="w0")
-        events.append("claim")
-        payload = result_to_payload(results[tag])
-        committed = fab.commit_result(key, payload)
-        duplicate = fab.commit_result(key, payload)  # loser: exactly-once
-        if duplicate:
-            raise AssertionError("duplicate fabric commit won")
-        fab.append_commit(key, "w0")
-        fab.append_event("commit", key=key, worker="w0",
-                         committed=committed)
-        events.append("commit")
-        if lease is not None:
-            fab.release(lease)
-    return {"expected": expected
-            or {f"cell-{t}": result_to_payload(results[t]) for t in "ab"},
-            "events": events}
+        if fab.claim(key, "w1", ttl=5.0) is not None:
+            raise AssertionError("a second claim on a held lease won")
+        tokens[key] = lease.token
+        if tag == "a":
+            fab.release(lease)  # the owner finished the cell
+        else:
+            fab.steal(key)  # the coordinator took it from a dead owner
+            lease.close()
+    return {"sweep": dict(sweep, version=SWEEP_VERSION), "tokens": tokens}
 
 
 def _fabric_check(image: Path, context: Dict[str, Any]) -> List[str]:
-    from repro.experiments.cache import payload_digest
-    from repro.fabric.lease import FabricDir
+    from repro.fabric.fleet import FabricDir
 
     problems = []
     fab = FabricDir(image)
     try:
-        fab.read_sweep()
-    except Exception as exc:  # noqa: BLE001
-        problems.append(f"read_sweep raised {exc!r}")
-    for key, payload in context["expected"].items():
-        try:
-            document = fab.read_result(key)
-        except Exception as exc:  # noqa: BLE001
-            problems.append(f"read_result({key}) raised {exc!r}")
-            continue
-        if document is None:
-            continue  # lost commit: legal, the cell just re-runs
-        if document.get("digest") == payload_digest(
-                document.get("result", {})):
-            if document.get("result") != payload:
-                problems.append(
-                    f"digest-valid committed result for {key} differs "
-                    f"from the committed payload (exactly-once broken)")
-        # digest mismatch = detected corruption: the coordinator
-        # quarantines it and the cell re-runs — not a violation
-    try:
-        _offset, events = fab.read_events(0)
-        for record in events:
-            if record.get("ev") not in ("claim", "commit"):
-                problems.append(f"journal adopted foreign event {record!r}")
-    except Exception as exc:  # noqa: BLE001
-        problems.append(f"read_events raised {exc!r}")
-    try:
-        for key, _worker in fab.read_commits():
-            if key not in context["expected"]:
-                problems.append(f"commits journal names unknown cell {key}")
-    except Exception as exc:  # noqa: BLE001
-        problems.append(f"read_commits raised {exc!r}")
+        sweep = fab.read_sweep()
+        if sweep is not None and sweep != context["sweep"]:
+            problems.append("recovered sweep.json is not the published "
+                            "document")
+        for key, token in context["tokens"].items():
+            record = fab.read_lease(key)
+            if record is not None and record.get("token") != token:
+                problems.append(f"lease {key} names an owner that never "
+                                f"claimed it")
+            fab.lease_expired(key, 5.0)
+        # recovery must be able to settle every cell: the coordinator
+        # re-creates the layout, steals surviving (expired) leases, and
+        # the cells are claimable again
+        fab.init()
+        for key in context["tokens"]:
+            if fab.lease_age(key) is not None and not fab.steal(key):
+                problems.append(f"lease {key} cannot be stolen")
+            lease = fab.claim(key, "w1", ttl=5.0)
+            if lease is None:
+                problems.append(f"lease {key} cannot be re-claimed")
+            else:
+                lease.close()
+    except Exception as exc:  # noqa: BLE001 — any escape is the bug
+        problems.append(f"lease recovery raised {exc!r}")
     return problems
 
 

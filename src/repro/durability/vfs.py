@@ -2,7 +2,7 @@
 
 All durable-state writers (:mod:`repro.experiments.cache`,
 :mod:`repro.recovery.manifest`, :mod:`repro.recovery.bundle`,
-:mod:`repro.fabric.lease`) route their filesystem mutations through the
+:mod:`repro.fabric.fleet`) route their filesystem mutations through the
 module-level ``v*`` functions below — a thin layer over
 ``open``/``write``/``fsync``/``rename``/``link``/``unlink``/``utime``.
 
@@ -662,7 +662,8 @@ def _transient(exc: OSError) -> bool:
 
 def write_atomic_text(path: os.PathLike, text: str,
                       retries: Optional[int] = None,
-                      backoff: Optional[float] = None) -> None:
+                      backoff: Optional[float] = None,
+                      exclusive: bool = False) -> bool:
     """The repo-wide durable-write discipline, through the gateway:
     temp file + full write (looping over short writes) + fsync +
     rename, with bounded retry/backoff on transient faults (EINTR,
@@ -670,9 +671,15 @@ def write_atomic_text(path: os.PathLike, text: str,
     cleaned up on *every* failure path, including failed cleanup-worthy
     serialization long before this call (serialize first, then write).
 
-    Raises the last ``OSError`` once retries are exhausted; callers
-    own the degradation policy (drop the cache put, downgrade the
-    manifest flush to a warning, ...)."""
+    ``exclusive`` hard-links the temp into place instead of renaming
+    it: ``link`` fails with ``EEXIST`` when ``path`` already exists, so
+    of several writers racing one path exactly one lands and the rest
+    get False. The temp is removed either way.
+
+    Returns True when ``path`` now holds ``text``. Raises the last
+    ``OSError`` once retries are exhausted; callers own the
+    degradation policy (drop the cache put, downgrade the manifest
+    flush to a warning, ...)."""
     path = Path(path)
     data = text.encode()
     retries = resolve_io_retries(retries)
@@ -687,8 +694,7 @@ def write_atomic_text(path: os.PathLike, text: str,
     attempt = 0
     while True:
         try:
-            _write_atomic_once(tmp, path, data)
-            return
+            return _write_atomic_once(tmp, path, data, exclusive)
         except OSError as exc:
             _cleanup_tmp(tmp)
             if not _transient(exc) or attempt >= retries:
@@ -703,7 +709,8 @@ def write_atomic_text(path: os.PathLike, text: str,
             raise
 
 
-def _write_atomic_once(tmp: Path, path: Path, data: bytes) -> None:
+def _write_atomic_once(tmp: Path, path: Path, data: bytes,
+                       exclusive: bool) -> bool:
     fd = vopen(tmp, os.O_CREAT | os.O_TRUNC | os.O_WRONLY)
     try:
         offset = 0
@@ -712,7 +719,16 @@ def _write_atomic_once(tmp: Path, path: Path, data: bytes) -> None:
         vfsync(fd)
     finally:
         vclose(fd)
-    vrename(tmp, path)
+    if not exclusive:
+        vrename(tmp, path)
+        return True
+    try:
+        vlink(tmp, path)
+        return True
+    except FileExistsError:
+        return False
+    finally:
+        _cleanup_tmp(tmp)
 
 
 def _cleanup_tmp(tmp: Path) -> None:

@@ -268,7 +268,7 @@ def _run_fabric_scale(smoke: bool) -> Dict[str, Any]:
     import tempfile
 
     from repro.experiments.matrix import RunRequest, run_matrix
-    from repro.fabric.coordinator import run_fabric
+    from repro.fabric.fleet import run_fabric
 
     scenario = (QUICK_SCALE.scaled(label="bench-fabric", iterations=6,
                                    episodes=24)

@@ -9,8 +9,9 @@ the cache instead of re-simulating.
 
 Layout: ``<root>/<key[:2]>/<key>.json``, one JSON document per cell
 holding the :class:`~repro.experiments.runner.RunResult` fields (never
-the GPU object). Writes go through a temp file + atomic rename so
-concurrent runs never observe a torn entry.
+the GPU object). Writes go through a fsynced temp file hard-linked
+into place, so concurrent runs never observe a torn entry and exactly
+one writer stores each key (see :meth:`ResultCache.put`).
 
 Environment knobs:
 
@@ -28,7 +29,6 @@ import hashlib
 import json
 import os
 import shutil
-import time
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -41,10 +41,6 @@ from repro.experiments.runner import RunResult
 #: entry layout is ``<2-hex-char shard>/<key>.json``; the glob must not
 #: sweep up the ``quarantine/`` directory the integrity check fills
 _ENTRY_GLOB = "[0-9a-f][0-9a-f]/*.json"
-
-#: a writer claim older than this is abandoned (its writer died between
-#: claiming the key and renaming the entry into place) and may be broken
-_CLAIM_TTL = 60.0
 
 #: RunResult fields persisted to disk (everything except ``gpu``)
 RESULT_FIELDS = (
@@ -163,7 +159,7 @@ class ResultCache:
         self.stores = 0
         #: corrupted entries deleted and re-simulated (self-heal)
         self.healed = 0
-        #: puts skipped because another live writer held the key's claim
+        #: puts that lost the link race: another writer stored the key
         self.contended = 0
         #: puts dropped by the graceful-degradation policy
         self.dropped = 0
@@ -186,18 +182,29 @@ class ResultCache:
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
 
+    def __contains__(self, key: str) -> bool:
+        """True when an entry for ``key`` is on disk (not verified)."""
+        return self._path(key).exists()
+
     # -- traffic -------------------------------------------------------
-    def get(self, key: str) -> Optional[RunResult]:
+    def get(self, key: str, verify: bool = False) -> Optional[RunResult]:
         """The cached result for ``key``, or None (counted as a miss).
 
         A present-but-unreadable entry (torn write from a killed
         process, truncated disk, schema drift) self-heals: it is deleted
-        and treated as a miss, so the cell re-simulates and overwrites
-        it rather than failing every future sweep."""
+        and treated as a miss, so the cell re-simulates and commits it
+        afresh rather than failing every future sweep. ``verify`` also
+        re-hashes the payload against its recorded digest, and a
+        mismatch heals the same way: the fabric coordinator verifies the
+        commits its workers made, while a sweep reading the cache skips
+        the hash on every hit (``verify()`` checks the whole store)."""
         path = self._path(key)
         try:
-            payload = json.loads(path.read_text())
-            result = RunResult(**payload["result"])
+            document = json.loads(path.read_text())
+            if verify and \
+                    document["digest"] != payload_digest(document["result"]):
+                raise ValueError("payload digest mismatch")
+            result = RunResult(**document["result"])
         except FileNotFoundError:
             self.misses += 1
             return None
@@ -213,22 +220,23 @@ class ResultCache:
         self.hits += 1
         return result
 
-    def put(self, key: str, result: RunResult) -> None:
-        """Persist one result atomically (temp file + fsync + rename), so
-        a concurrent reader or a crash mid-write never leaves a torn
-        entry behind.
+    def put(self, key: str, result: RunResult) -> bool:
+        """Commit one result for ``key``, exactly once.
 
-        Concurrent writers of the *same* key (two sweeps sharing the
-        cache, or a fabric fleet mirroring its commits) are serialized
-        by an ``O_EXCL`` claim file: the first writer takes the claim
-        and writes; everyone else skips the put entirely — entries are
-        content-addressed, so a rival's bytes are identical and writing
-        them again buys nothing but rename traffic. A claim left behind
-        by a dead writer is broken after ``_CLAIM_TTL`` seconds.
+        This is the repo's one exactly-once commit: the entry is
+        written to a temp file, fsynced, then hard-linked into place
+        (:func:`repro.durability.vfs.write_atomic_text` with
+        ``exclusive``). ``link`` refuses an existing name, so of several
+        writers racing one key — two sweeps sharing the cache, or
+        fabric workers that both executed a cell — exactly one stores;
+        the rest count as ``contended`` and leave nothing behind.
+        Entries are content-addressed, so the loser's bytes would have
+        been identical anyway. A crash can never expose a torn entry:
+        the link lands only after the fsync. Returns True when this
+        call stored the entry.
 
         Failure policy: the cache is an accelerator, not ground truth.
-        A put that still fails after the bounded retries of
-        :func:`repro.durability.vfs.write_atomic_text` is *dropped*
+        A put that still fails after the bounded retries is *dropped*
         (warned + counted), and persistent ENOSPC flips the instance to
         read-through ``degraded`` mode. No temp file survives any
         failure path — serialization happens before the first file
@@ -241,7 +249,7 @@ class ResultCache:
         if self.degraded:
             self.dropped += 1
             vfs.incr_stat("durability.cache.put_dropped")
-            return
+            return False
         # serialize before touching the filesystem: a payload that
         # cannot serialize must not cost (or leak) a temp file
         body = result_to_payload(result)
@@ -252,28 +260,17 @@ class ResultCache:
         }
         text = json.dumps(document, sort_keys=True, default=str)
         path = self._path(key)
-        claim = path.with_name(f".{path.name}.claim")
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            if not self._take_claim(claim):
-                self.contended += 1
-                return
+            stored = vfs.write_atomic_text(path, text, exclusive=True)
         except OSError as exc:
             self._degrade_on(exc, key)
-            return
-        try:
-            vfs.write_atomic_text(path, text)
-        except OSError as exc:
-            self._degrade_on(exc, key)
-            return
-        finally:
-            try:
-                vfs.vunlink(claim, missing_ok=True)
-            except OSError:
-                # a stranded claim self-breaks after _CLAIM_TTL; do not
-                # let its cleanup mask the put's own outcome
-                vfs.incr_stat("durability.cache.claim_cleanup_errors")
-        self.stores += 1
+            return False
+        if stored:
+            self.stores += 1
+        else:
+            self.contended += 1
+        return stored
 
     def _degrade_on(self, exc: OSError, key: str) -> None:
         """Apply the put-failure policy: drop the put; persistent
@@ -293,26 +290,6 @@ class ResultCache:
                 f"result cache put of {key[:12]}… failed after retries "
                 f"({exc}); entry dropped, sweep continues",
                 RuntimeWarning, stacklevel=3)
-
-    @staticmethod
-    def _take_claim(claim: Path) -> bool:
-        """Try to own the per-key writer claim (``O_CREAT|O_EXCL`` —
-        exactly one winner). False means a live rival holds it; a stale
-        claim (dead writer) is broken and the attempt retried."""
-        while True:
-            try:
-                fd = vfs.vopen(claim, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                try:
-                    age = time.time() - claim.stat().st_mtime
-                except OSError:
-                    continue  # claim vanished between open and stat
-                if age <= _CLAIM_TTL:
-                    return False
-                vfs.vunlink(claim, missing_ok=True)
-                continue
-            vfs.vclose(fd)
-            return True
 
     # -- maintenance ---------------------------------------------------
     def verify(self, quarantine: bool = True) -> "CacheVerifyReport":

@@ -57,10 +57,12 @@ import traceback
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import (
-    Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union,
+    Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence,
+    Tuple, Union,
 )
 
 from repro.core.policies import PolicySpec
@@ -306,18 +308,18 @@ class _CellAlarm:
         return False
 
 
-def _log_execution(request: RunRequest) -> None:
-    """Append one line to ``REPRO_EXEC_LOG`` (when set) marking a real
-    cell execution; resume tests assert checkpointed cells never appear
-    here twice. O_APPEND keeps concurrent worker writes whole."""
+def log_exec(*fields: str) -> None:
+    """Append one tab-separated line to ``REPRO_EXEC_LOG`` (when set).
+    A cell execution logs ``benchmark, policy, scenario, pid`` (resume
+    tests assert checkpointed cells never appear twice); a fabric
+    worker that commits a result logs ``commit, cell key, worker,
+    pid``. O_APPEND keeps concurrent worker writes whole."""
     path = os.environ.get(EXEC_LOG_ENV)
     if not path:
         return
-    line = (f"{request.benchmark}\t{request.policy.name}\t"
-            f"{request.scenario.label}\t{os.getpid()}\n")
     try:
         with open(path, "a") as fh:
-            fh.write(line)
+            fh.write("\t".join(fields) + "\n")
     except OSError:
         pass
 
@@ -391,7 +393,8 @@ def _execute_cell(
     subprocess with an outer wall-clock wait instead of silently
     running unbounded (``keep_gpu`` cells cannot cross a process
     boundary and keep the historical unbounded behaviour)."""
-    _log_execution(request)
+    log_exec(request.benchmark, request.policy.name,
+             request.scenario.label, str(os.getpid()))
     try:
         with _CellAlarm(timeout) as alarm:
             if timeout and not alarm.armed and not request.keep_gpu:
@@ -409,7 +412,7 @@ def execute_cell(
     """Public single-cell entrypoint: execute one matrix cell with the
     standard budget/failure machinery and return ``(result, failure)``
     — exactly one of the pair is non-None. This is the path fabric
-    workers (:mod:`repro.fabric.worker`) run leased cells through, so a
+    workers (:mod:`repro.fabric.fleet`) run leased cells through, so a
     fleet cell behaves bit-identically to a ``run_matrix`` cell:
     same ``REPRO_EXEC_LOG`` accounting, same structured failure
     records, same timeout classification."""
@@ -425,7 +428,7 @@ class MatrixResult(Sequence):
 
     def __init__(self, cells: List[Cell], jobs: int,
                  cache_hits: int, cache_misses: int, deduped: int,
-                 resumed: int = 0):
+                 resumed: int = 0, executed: int = 0):
         self.cells = cells
         self.jobs = jobs
         self.cache_hits = cache_hits
@@ -433,6 +436,8 @@ class MatrixResult(Sequence):
         self.deduped = deduped
         #: cells resolved from a checkpoint manifest instead of executed
         self.resumed = resumed
+        #: unique cells this sweep simulated (failed ones included)
+        self.executed = executed
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -449,6 +454,10 @@ class MatrixResult(Sequence):
     def errors(self) -> List[MatrixError]:
         return [MatrixError(i, c.request, c.error, c.failure)
                 for i, c in enumerate(self.cells) if c.failure is not None]
+
+    @property
+    def ok(self) -> bool:
+        return not self.errors
 
     def get(self, benchmark: str, policy_name: str) -> RunResult:
         """Result of the unique (benchmark, policy-name) cell.
@@ -480,10 +489,12 @@ class MatrixResult(Sequence):
             return default
 
     def summary(self) -> str:
-        """One line for experiment-report notes (hit/miss counters)."""
+        """One line for experiment-report notes: what ran, what failed,
+        and where the rest came from."""
         line = (
-            f"matrix: {len(self.cells)} cells, {self.cache_hits} cache "
-            f"hits, {self.cache_misses} misses, {self.deduped} deduped, "
+            f"matrix: {len(self.cells)} cells, {self.executed} executed, "
+            f"{len(self.errors)} failed, {self.cache_hits} cache hits, "
+            f"{self.cache_misses} misses, {self.deduped} deduped, "
             f"jobs={self.jobs}"
         )
         if self.resumed:
@@ -515,46 +526,33 @@ class SweepInterrupted(ReproError):
         self.signum = signum
 
 
-class _SweepSignals:
+@contextmanager
+def sweep_signals(on_signal: Callable[[], None]) -> Iterator[None]:
     """SIGINT/SIGTERM handling for the duration of one sweep.
 
     Without this, Ctrl-C (and any SIGTERM from a job scheduler) unwinds
     through ``ProcessPoolExecutor.__exit__``, which blocks joining
     workers mid-cell and can leak orphaned children. The installed
-    handler (main thread only) flushes the checkpoint manifest, kills
-    the pool's worker processes, and raises :class:`SweepInterrupted`
-    so callers unwind promptly with the sweep resumable.
+    handler (main thread only) runs ``on_signal`` — flush the
+    checkpoint manifest, kill the sweep's worker processes — and raises
+    :class:`SweepInterrupted` so callers unwind promptly with the sweep
+    resumable. The fabric coordinator uses it too.
     """
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
 
-    _SIGNALS = (signal.SIGINT, signal.SIGTERM)
+    def fire(signum, _frame):
+        on_signal()
+        raise SweepInterrupted(signum)
 
-    def __init__(self, pool_holder: Dict[str, Any],
-                 checkpoint: Optional[SweepCheckpoint]):
-        self.pool_holder = pool_holder
-        self.checkpoint = checkpoint
-        self._previous: Dict[int, Any] = {}
-
-    def __enter__(self) -> "_SweepSignals":
-        if threading.current_thread() is not threading.main_thread():
-            return self
-
-        def _fire(signum, _frame):
-            if self.checkpoint is not None:
-                self.checkpoint.flush(force=True)
-            pool = self.pool_holder.get("pool")
-            if pool is not None:
-                for proc in list(getattr(pool, "_processes", {}).values()):
-                    proc.kill()
-            raise SweepInterrupted(signum)
-
-        for signum in self._SIGNALS:
-            self._previous[signum] = signal.signal(signum, _fire)
-        return self
-
-    def __exit__(self, *_exc) -> bool:
-        for signum, previous in self._previous.items():
-            signal.signal(signum, previous)
-        return False
+    previous = {signum: signal.signal(signum, fire)
+                for signum in (signal.SIGINT, signal.SIGTERM)}
+    try:
+        yield
+    finally:
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
 
 
 #: per-completion callback: (index, (result, failure))
@@ -845,8 +843,17 @@ def run_matrix(
     # I/O failure; a dying disk must not turn a clean SIGINT into a
     # lost checkpoint AND a secondary traceback.)
     pool_holder: Dict[str, Any] = {}
+
+    def abort() -> None:
+        if ckpt is not None:
+            ckpt.flush(force=True)
+        pool = pool_holder.get("pool")
+        if pool is not None:
+            for proc in list(getattr(pool, "_processes", {}).values()):
+                proc.kill()
+
     try:
-        with _SweepSignals(pool_holder, ckpt):
+        with sweep_signals(abort):
             outcomes = _run_cells(unique_requests, jobs, cell_timeout,
                                   retries, retry_backoff,
                                   on_outcome=on_outcome,
@@ -877,4 +884,5 @@ def run_matrix(
         cache_misses=cache_misses,
         deduped=deduped,
         resumed=resumed,
+        executed=len(pending),
     )

@@ -1,45 +1,4 @@
-"""Lease-based distributed sweep fabric.
-
-``repro.fabric`` turns a checkpointed :func:`~repro.experiments.matrix`
-sweep into a crash-tolerant *fleet*: a coordinator owns the PR 5
-checkpoint manifest as the single source of truth, leases its cells to
-N workers (local subprocesses today, any machine sharing the fabric
-directory tomorrow), and treats worker death as nothing more than an
-un-leased cell. The moving parts:
-
-:mod:`repro.fabric.lease`
-    the shared on-disk protocol — versioned lease records claimed with
-    ``O_EXCL``, heartbeats as lease-file mtime bumps, exactly-once
-    result commits via hard-link, and an append-only event log whose
-    torn tail is skipped like a torn manifest entry.
-:mod:`repro.fabric.coordinator`
-    :func:`~repro.fabric.coordinator.run_fabric` — publishes the sweep,
-    folds committed results into the manifest, expires and re-leases
-    dead workers' cells, emits ``fabric.*`` stats and trace instants,
-    and survives its own SIGTERM (the sweep resumes).
-:mod:`repro.fabric.worker`
-    the claim → execute → commit → release loop (also a standalone
-    ``python -m repro.fabric.worker`` entry point for remote workers).
-:mod:`repro.fabric.supervisor`
-    spawns and respawns the local worker fleet with exponential backoff
-    and a crash-loop circuit breaker.
-:mod:`repro.fabric.chaos`
-    the seeded drill behind ``make fabric-smoke``: kills, stalls and
-    SIGTERMs a live sweep and asserts completion, bit-identity and the
-    zero-duplicate-commit invariant.
-
-Guarantees (drilled by :mod:`repro.fabric.chaos`):
-
-- any worker can be SIGKILLed, hung or partitioned mid-cell and the
-  sweep still completes, bit-identical to a ``jobs=1`` in-process run;
-- every cell's result is committed exactly once (``O_EXCL`` hard-link
-  commit + lease-ownership check) no matter how many workers raced it;
-- the coordinator itself can be SIGTERMed and re-run; the manifest
-  resumes the sweep from the last committed cell.
-"""
-
-from repro.fabric.coordinator import FabricResult, run_fabric
-from repro.fabric.lease import LEASE_VERSION, FabricDir, LeaseLost
-
-__all__ = ["FabricDir", "FabricResult", "LEASE_VERSION", "LeaseLost",
-           "run_fabric"]
+"""Lease-based distributed sweep fabric: :mod:`repro.fabric.fleet` runs a
+checkpointed sweep on worker processes that share only a directory, and
+:mod:`repro.fabric.chaos` is the seeded kill/stall/interrupt drill behind
+``make fabric-smoke``."""

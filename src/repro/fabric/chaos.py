@@ -4,35 +4,26 @@ The drill runs ONE sweep (five paper workloads plus the ``_KILL``
 stress drill) through three phases that share a checkpoint manifest,
 fabric directory, result cache and ``REPRO_EXEC_LOG``:
 
-A. **baseline** — the sweep runs in-process (``run_matrix``, jobs=1,
-   no cache): the bit-identity reference.
-B. **coordinator interrupt** — the sweep starts on a real worker fleet
-   in a child process and the *coordinator itself* is SIGTERMed after
-   the first commit. Asserts the conventional ``128+SIGTERM`` exit and
-   that the manifest/fabric directory are left resumable.
-C. **chaos resume** — the same sweep resumes in-process under a seeded
-   fault schedule driven from the coordinator's tick hook:
+A. **baseline** — ``run_matrix`` in-process, jobs=1, no cache: the
+   bit-identity reference.
+B. **coordinator interrupt** — a real fleet runs the sweep from a child
+   coordinator, which is SIGTERMed after the first commit. It must exit
+   ``128+SIGTERM`` and leave one resumable manifest.
+C. **chaos resume** — the sweep resumes in-process while the
+   coordinator's tick hook SIGKILLs one lease holder, SIGSTOPs another
+   past the lease TTL (its lease is stolen; revived, it must drop its
+   late result), and the ``_KILL`` drill kills whichever worker builds
+   it (once, sentinel-gated).
 
-   - one lease-holding worker is **SIGKILLed** mid-cell,
-   - another is **SIGSTOPped** past the lease TTL (a stall or network
-     partition: the coordinator must steal its lease, and the stalled
-     worker must *lose* its late commit when SIGCONT revives it),
-   - the ``_KILL`` drill SIGKILLs whichever worker builds it
-     (one-shot, sentinel-gated — the retry on a fresh worker passes).
+Then it asserts: zero failed cells; every cell bit-identical to phase A
+over ``RESULT_FIELDS``; the ``commit`` lines workers append to
+``REPRO_EXEC_LOG`` name every cell exactly once; duplicate executions
+at most deaths + steals + workers (the cells in flight at the phase-B
+interrupt); worker deaths and lease steals in the ``fabric.*`` stats
+and as trace instants; no manifest left behind.
 
-After completion the drill asserts, on the combined history of B + C:
-
-- zero failed cells;
-- every cell bit-identical to phase A over ``RESULT_FIELDS``;
-- ``commits.log`` names every cell exactly once (exactly-once commit);
-- execution-log duplicates bounded by the recorded deaths + steals +
-  the in-flight cells abandoned at the phase-B interrupt (duplicate
-  work happens only where a fault forced it);
-- lease expiries/steals and worker deaths visible as ``fabric.*``
-  stats AND as trace instants in the exported Chrome trace.
-
-Faults are scheduled by commit-count triggers and a seeded RNG picks
-the victims, so a drill failure reproduces with the same ``--seed``.
+Faults trigger on completed-cell counts and a seeded RNG picks the
+victims, so a failing drill reproduces with the same ``--seed``.
 """
 
 from __future__ import annotations
@@ -47,15 +38,13 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from random import Random
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.policies import named_policy
 from repro.experiments.cache import RESULT_FIELDS, ResultCache
 from repro.experiments.matrix import RunRequest, run_matrix
 from repro.experiments.runner import QUICK_SCALE
-from repro.fabric.coordinator import Coordinator, run_fabric
-from repro.fabric.lease import FabricDir
-from repro.fabric.supervisor import Supervisor
+from repro.fabric.fleet import Coordinator, run_fabric
 from repro.recovery.manifest import cell_key, list_manifests
 
 #: ``_KILL`` is deliberately LAST: phase B is interrupted after the
@@ -71,7 +60,7 @@ import sys
 
 from repro.experiments.matrix import SweepInterrupted
 from repro.fabric.chaos import drill_requests
-from repro.fabric.coordinator import run_fabric
+from repro.fabric.fleet import run_fabric
 
 try:
     run_fabric(drill_requests(), workers=int(sys.argv[1]),
@@ -83,78 +72,62 @@ except SweepInterrupted as exc:
 
 
 def drill_requests() -> List[RunRequest]:
-    """The drill sweep: slow enough that faults land mid-cell (the
-    quick-scale cells finish in tens of milliseconds, far inside the
-    lease TTL; these take seconds)."""
+    """The drill sweep: cells that take seconds, so faults land
+    mid-cell (quick-scale cells finish well inside the lease TTL)."""
     scenario = QUICK_SCALE.scaled(label="fabric-drill", iterations=4,
                                   episodes=16)
-    return [
-        RunRequest(bench, named_policy("awg"), scenario, validate=False)
-        for bench in DRILL_BENCHES
-    ]
+    return [RunRequest(bench, named_policy("awg"), scenario, validate=False)
+            for bench in DRILL_BENCHES]
 
 
 class ChaosSchedule:
-    """Deterministic fault injector driven from the coordinator tick.
+    """The phase-C fault injector, called once per coordinator tick:
+    SIGKILL a lease holder once ``kill_after`` cells are complete,
+    SIGSTOP another once ``stall_after`` are, SIGCONT it
+    ``stall_for`` seconds later. Victims are drawn from the live lease
+    holders by a seeded RNG."""
 
-    Triggers are commit counts (phase-stable across machines); victim
-    selection among the eligible (lease-holding, live) workers is the
-    only randomness, and it is seeded."""
+    kill_after = 1
+    stall_after = 2
 
-    def __init__(self, seed: int = 0, ttl: float = 1.0,
-                 kill_after: int = 1, stall_after: int = 2,
-                 stall_for: Optional[float] = None):
+    def __init__(self, seed: int = 0, ttl: float = 1.0):
         self.rng = Random(seed)
-        self.ttl = ttl
-        self.kill_after = kill_after
-        self.stall_after = stall_after
         #: stall comfortably past the TTL so the steal is guaranteed
-        self.stall_for = stall_for if stall_for is not None else ttl * 2.5
+        self.stall_for = ttl * 2.5
         self.killed = False
         self.stalled: Optional[int] = None
-        self.stall_started: Optional[float] = None
+        self.stall_started = 0.0
         self.resumed = False
 
-    def _leased_slots(self, coordinator: Coordinator,
-                      supervisor: Supervisor) -> List[int]:
-        """Live slots currently holding a lease (killing an idle worker
-        proves nothing). Matched by the lease record's *pid*, not just
-        the worker name — a resumed sweep leaves stale leases behind
-        that name the previous fleet's identically-named slots."""
-        holders = set()
-        for key in coordinator.dir.live_leases():
-            record = coordinator.dir.read_lease(key)
-            if record and record.get("worker"):
-                holders.add((record["worker"], record.get("pid")))
-        return [
-            i for i in supervisor.live_slot_indices()
-            if (supervisor.slots[i].name,
-                supervisor.slots[i].proc.pid) in holders
-        ]
+    def _strike(self, coordinator: Coordinator, signum: int) -> Optional[int]:
+        """Signal one live lease holder (killing an idle worker proves
+        nothing), matched by the lease record's pid: a resumed sweep
+        still holds stale leases of the previous fleet."""
+        pids = {(coordinator.dir.read_lease(key) or {}).get("pid")
+                for key in coordinator.dir.live_leases()}
+        slots = [i for i, slot in enumerate(coordinator.slots)
+                 if slot.alive() and slot.proc.pid in pids]
+        if not slots:
+            return None
+        victim = self.rng.choice(slots)
+        coordinator.slots[victim].proc.send_signal(signum)
+        return victim
 
-    def __call__(self, coordinator: Coordinator,
-                 supervisor: Supervisor) -> None:
-        commits = len(coordinator.dir.read_commits())
-        if not self.killed and commits >= self.kill_after:
-            slots = self._leased_slots(coordinator, supervisor)
-            if slots:
-                victim = self.rng.choice(slots)
-                if supervisor.signal_slot(victim, signal.SIGKILL):
-                    self.killed = True
-            return
-        if self.killed and self.stalled is None \
-                and commits >= self.stall_after:
-            slots = self._leased_slots(coordinator, supervisor)
-            if slots:
-                victim = self.rng.choice(slots)
-                if supervisor.signal_slot(victim, signal.SIGSTOP):
-                    self.stalled = victim
-                    self.stall_started = time.monotonic()
-            return
-        if (self.stalled is not None and not self.resumed
-                and time.monotonic() - self.stall_started
-                >= self.stall_for):
-            supervisor.signal_slot(self.stalled, signal.SIGCONT)
+    def __call__(self, coordinator: Coordinator) -> None:
+        completed = len(coordinator.ckpt.completed)
+        if not self.killed:
+            if completed >= self.kill_after:
+                self.killed = self._strike(coordinator,
+                                           signal.SIGKILL) is not None
+        elif self.stalled is None:
+            if completed >= self.stall_after:
+                self.stalled = self._strike(coordinator, signal.SIGSTOP)
+                self.stall_started = time.monotonic()
+        elif (not self.resumed
+              and time.monotonic() - self.stall_started >= self.stall_for):
+            slot = coordinator.slots[self.stalled]
+            if slot.alive():
+                slot.proc.send_signal(signal.SIGCONT)
             self.resumed = True
 
 
@@ -176,35 +149,32 @@ class DrillReport:
         return not self.problems
 
     def render(self) -> str:
-        lines = [
-            f"fabric chaos drill: {'PASS' if self.ok else 'FAIL'} "
-            f"(workers={self.workers}, seed={self.seed}, "
-            f"{self.duration:.1f}s)"
-        ]
-        for note in self.notes:
-            lines.append(f"  {note}")
-        for key in sorted(self.stats):
-            if self.stats[key]:
-                lines.append(f"  {key} = {self.stats[key]}")
+        lines = [f"fabric chaos drill: {'PASS' if self.ok else 'FAIL'} "
+                 f"(workers={self.workers}, seed={self.seed}, "
+                 f"{self.duration:.1f}s)"]
+        lines += [f"  {note}" for note in self.notes]
+        lines += [f"  {key} = {value}"
+                  for key, value in sorted(self.stats.items()) if value]
         if self.exec_counts:
-            executed = ", ".join(f"{b}x{n}" for b, n in
-                                 sorted(self.exec_counts.items()))
-            lines.append(f"  executions: {executed}")
-        for problem in self.problems:
-            lines.append(f"  PROBLEM: {problem}")
+            lines.append("  executions: " + ", ".join(
+                f"{b}x{n}" for b, n in sorted(self.exec_counts.items())))
+        lines += [f"  PROBLEM: {problem}" for problem in self.problems]
         if self.problems and self.scratch:
             lines.append(f"  evidence kept under {self.scratch}")
         return "\n".join(lines)
 
 
-def _exec_counts(log_path: Path) -> Dict[str, int]:
+def _read_exec_log(log_path: Path) -> Tuple[Dict[str, int], List[str]]:
+    """Executions per benchmark, and the cell key of every commit line."""
     counts: Dict[str, int] = {}
-    if not log_path.exists():
-        return counts
-    for line in log_path.read_text().splitlines():
-        bench = line.split("\t")[0]
-        counts[bench] = counts.get(bench, 0) + 1
-    return counts
+    committed: List[str] = []
+    lines = log_path.read_text().splitlines() if log_path.exists() else []
+    for fields in (line.split("\t") for line in lines):
+        if fields[0] == "commit":
+            committed.append(fields[1])
+        else:
+            counts[fields[0]] = counts.get(fields[0], 0) + 1
+    return counts, committed
 
 
 def _result_fields(result) -> Dict[str, Any]:
@@ -220,208 +190,134 @@ def run_drill(
 ) -> DrillReport:
     """Run the three-phase chaos drill; see the module docstring.
 
-    Scratch state (checkpoints, fabric dir, cache, logs) lives under a
-    temp directory, removed on success and kept as evidence on failure
-    (or always kept when ``scratch`` names a directory explicitly)."""
+    Checkpoints, fabric directory, cache and logs live under a temp
+    directory, removed on success and kept as evidence on failure
+    (always kept when ``scratch`` names a directory)."""
     say = out or (lambda _line: None)
-    keep_scratch = scratch is not None
-    root = Path(scratch) if scratch else \
-        Path(tempfile.mkdtemp(prefix="repro-fabric-drill-"))
+    root = Path(scratch or tempfile.mkdtemp(prefix="repro-fabric-drill-"))
     root.mkdir(parents=True, exist_ok=True)
-    ckpt_root = root / "ckpt"
-    fabric_root = root / "fabric"
-    cache_dir = root / "cache"
-    exec_log = root / "exec.log"
-    sentinel = root / "kill-me"
     report = DrillReport(workers=workers, seed=seed, scratch=str(root))
     started = time.monotonic()
+    _drill(report, root, workers, seed, ttl, say)
+    report.duration = time.monotonic() - started
+    if report.ok and scratch is None:
+        shutil.rmtree(root, ignore_errors=True)
+        report.scratch = None
+    return report
 
+
+def _drill(report: DrillReport, root: Path, workers: int, seed: int,
+           ttl: float, say: Callable[[str], None]) -> None:
+    ckpt_root, fabric_root = root / "ckpt", root / "fabric"
+    cache_dir, exec_log, sentinel = root / "cache", root / "exec.log", \
+        root / "kill-me"
     requests = drill_requests()
-    keys = [cell_key(req.spec()) for req in requests]
 
-    # -- phase A: in-process baseline (no cache, no exec log) -----------
     say(f"phase A: baseline run_matrix jobs=1 ({len(requests)} cells)")
     baseline = run_matrix(requests, jobs=1, cache=None, checkpoint=False)
     if baseline.errors:
         report.problems.append(
             f"baseline sweep failed: {baseline.errors[0].traceback}")
-        return _finish(report, started, root, keep_scratch)
+        return
 
-    # -- phase B: fleet sweep, coordinator SIGTERMed mid-flight ---------
     say(f"phase B: fleet of {workers}, SIGTERM the coordinator after "
         f"the first commit")
-    child_env = dict(
-        os.environ,
-        PYTHONPATH=os.pathsep.join(
-            p for p in (_SRC, os.environ.get("PYTHONPATH")) if p),
-        REPRO_EXEC_LOG=str(exec_log),
-        REPRO_CACHE_DIR=str(cache_dir),
-    )
-    child_env.pop("REPRO_NO_CACHE", None)
-    child_env.pop("REPRO_STRESS_KILL", None)
+    env = dict(os.environ, REPRO_EXEC_LOG=str(exec_log),
+               REPRO_CACHE_DIR=str(cache_dir), PYTHONPATH=os.pathsep.join(
+                   p for p in (_SRC, os.environ.get("PYTHONPATH")) if p))
+    env.pop("REPRO_NO_CACHE", None)
+    env.pop("REPRO_STRESS_KILL", None)
     script = root / "child_fabric.py"
     script.write_text(_CHILD)
-    fabric_dir: Optional[FabricDir] = None
-    interrupted = False
-    for _attempt in range(3):
-        child = subprocess.Popen(
-            [sys.executable, str(script), str(workers), str(ttl),
-             str(ckpt_root), str(fabric_root)],
-            env=child_env, cwd=root,
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        )
-        deadline = time.monotonic() + 120
-        while time.monotonic() < deadline and child.poll() is None:
-            dirs = list(fabric_root.glob("*/commits.log"))
-            if dirs and dirs[0].read_text().count("\n") >= 1:
-                fabric_dir = FabricDir(dirs[0].parent)
-                break
-            time.sleep(0.02)
-        child.send_signal(signal.SIGTERM)
-        _stdout, stderr = child.communicate(timeout=300)
-        if child.returncode == 128 + signal.SIGTERM:
-            interrupted = True
-            break
-        # the fleet outran the signal (or died): reset and retry
-        report.notes.append(
-            f"phase B attempt exited rc={child.returncode}; retrying")
-        for path in (ckpt_root, fabric_root, cache_dir):
-            shutil.rmtree(path, ignore_errors=True)
-        exec_log.unlink(missing_ok=True)
-        fabric_dir = None
-    if not interrupted:
+    child = subprocess.Popen(
+        [sys.executable, str(script), str(workers), str(ttl),
+         str(ckpt_root), str(fabric_root)],
+        env=env, cwd=root, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    deadline = time.monotonic() + 120
+    while (time.monotonic() < deadline and child.poll() is None
+           and not any(cache_dir.glob("??/*.json"))):
+        time.sleep(0.02)
+    child.send_signal(signal.SIGTERM)
+    _stdout, stderr = child.communicate(timeout=300)
+    if child.returncode != 128 + signal.SIGTERM:
         report.problems.append(
-            f"coordinator SIGTERM never produced exit "
-            f"{128 + signal.SIGTERM} (last rc {child.returncode}, "
-            f"stderr: {stderr.decode(errors='replace')[-500:]})")
-        return _finish(report, started, root, keep_scratch)
+            f"coordinator SIGTERM exited {child.returncode}, not "
+            f"{128 + signal.SIGTERM} (stderr: "
+            f"{stderr.decode(errors='replace')[-500:]})")
+        return
     manifests = list_manifests(ckpt_root)
     if len(manifests) != 1:
-        report.problems.append(
-            f"interrupted sweep left {len(manifests)} manifests, "
-            f"expected 1 (resumable)")
-        return _finish(report, started, root, keep_scratch)
+        report.problems.append(f"interrupted sweep left {len(manifests)} "
+                               f"manifests, expected 1 (resumable)")
+        return
     report.notes.append(
         f"phase B: interrupted with {manifests[0]['completed']} cells "
         f"checkpointed, exit {child.returncode}")
 
-    # -- phase C: resume under the seeded fault schedule ----------------
-    kill_key = cell_key(
-        next(r for r in requests if r.benchmark == "_KILL").spec())
-    arm_kill = fabric_dir is None or not fabric_dir.has_result(kill_key)
-    extra_env = {
-        "REPRO_EXEC_LOG": str(exec_log),
-        "REPRO_CACHE_DIR": str(cache_dir),
-    }
+    cache = ResultCache(cache_dir)
+    kill_spec = next(r for r in requests if r.benchmark == "_KILL").spec()
+    arm_kill = cache.key_for(kill_spec) not in cache
+    extra_env = {"REPRO_EXEC_LOG": str(exec_log),
+                 "REPRO_CACHE_DIR": str(cache_dir)}
     if arm_kill:
         sentinel.write_text("")
         extra_env["REPRO_STRESS_KILL"] = str(sentinel)
     say("phase C: resume with seeded SIGKILL + SIGSTOP stall"
         + (" + _KILL sentinel" if arm_kill else ""))
     chaos = ChaosSchedule(seed=seed, ttl=ttl)
-    result = run_fabric(
-        requests, workers=workers, ttl=ttl,
-        checkpoint_root=ckpt_root, fabric_root=fabric_root,
-        cache=ResultCache(cache_dir),
-        on_tick=chaos,
-        supervisor_kw={"extra_env": extra_env},
-    )
+    result = run_fabric(requests, workers=workers, ttl=ttl,
+                        checkpoint_root=ckpt_root, fabric_root=fabric_root,
+                        cache=cache, on_tick=chaos,
+                        supervisor_kw={"extra_env": extra_env})
     report.stats = dict(result.stats)
-    report.exec_counts = _exec_counts(exec_log)
+    report.exec_counts, committed = _read_exec_log(exec_log)
     say(result.summary())
 
-    # -- assertions -----------------------------------------------------
+    problems = report.problems
     if result.errors:
-        report.problems.append(
-            f"{len(result.errors)} cells failed; first: "
-            f"{result.errors[0].traceback[-300:]}")
-    for index in range(len(requests)):
-        try:
-            if _result_fields(result[index]) != \
-                    _result_fields(baseline[index]):
-                report.problems.append(
-                    f"cell {index} ({requests[index].benchmark}) "
-                    f"diverged from the jobs=1 baseline")
-        except Exception as exc:  # CellError on failed cells
-            report.problems.append(
-                f"cell {index} unreadable: {type(exc).__name__}")
-    committed = [key for key, _worker in
-                 FabricDir(fabric_root / result.sweep_key).read_commits()]
+        problems.append(f"{len(result.errors)} cells failed; first: "
+                        f"{result.errors[0].traceback[-300:]}")
+    for index, request in enumerate(requests):
+        if result.cells[index].result is None:
+            problems.append(f"cell {index} ({request.benchmark}) has no "
+                            f"result")
+        elif _result_fields(result[index]) != \
+                _result_fields(baseline[index]):
+            problems.append(f"cell {index} ({request.benchmark}) diverged "
+                            f"from the jobs=1 baseline")
     if sorted(committed) != sorted(set(committed)):
-        report.problems.append("commits.log records a cell twice "
-                               "(exactly-once commit violated)")
-    if set(committed) != set(keys):
-        report.problems.append(
-            f"commits.log covers {len(set(committed))}/{len(keys)} "
-            f"cells")
+        problems.append("the exec log records a cell committed twice "
+                        "(exactly-once commit violated)")
+    keys = {cell_key(request.spec()) for request in requests}
+    if set(committed) != keys:
+        problems.append(f"the exec log's commit lines cover "
+                        f"{len(set(committed))}/{len(keys)} cells")
     if not chaos.killed:
-        report.problems.append("chaos SIGKILL never fired")
+        problems.append("chaos SIGKILL never fired")
     if chaos.stalled is None:
-        report.problems.append("chaos SIGSTOP stall never engaged")
+        problems.append("chaos SIGSTOP stall never engaged")
     if arm_kill and sentinel.exists():
-        report.problems.append("_KILL sentinel never consumed")
+        problems.append("_KILL sentinel never consumed")
     deaths = report.stats.get("fabric.worker.deaths", 0)
     steals = report.stats.get("fabric.lease.stolen", 0)
-    min_deaths = 1 + (1 if arm_kill else 0)
-    if deaths < min_deaths:
-        report.problems.append(
-            f"expected >= {min_deaths} worker deaths, stats saw "
-            f"{deaths}")
+    if deaths < 1 + arm_kill:
+        problems.append(f"expected >= {1 + arm_kill} worker deaths, "
+                        f"stats saw {deaths}")
     if steals < 1:
-        report.problems.append("no lease steal recorded despite a "
-                               "SIGKILLed lease holder")
-    extra = sum(max(0, n - 1) for n in report.exec_counts.values())
+        problems.append("no lease steal recorded despite a SIGKILLed "
+                        "lease holder")
     missing = [b for b in DRILL_BENCHES if b not in report.exec_counts]
     if missing:
-        report.problems.append(
-            f"cells never executed by the fleet: {missing}")
+        problems.append(f"cells never executed by the fleet: {missing}")
+    extra = sum(n - 1 for n in report.exec_counts.values())
     allowed = deaths + steals + workers  # + cells abandoned at SIGTERM
     if extra > allowed:
-        report.problems.append(
-            f"{extra} duplicate executions exceed the {allowed} "
-            f"explainable by deaths/steals/interrupt")
-    if result.trace is None:
-        report.problems.append("no trace exported")
-    else:
-        names = {e.get("name") for e in result.trace["traceEvents"]}
-        for required in ("lease.stolen", "worker.death", "cell.commit"):
-            if required not in names:
-                report.problems.append(
-                    f"trace instants missing {required!r}")
+        problems.append(f"{extra} duplicate executions exceed the "
+                        f"{allowed} explainable by deaths/steals/interrupt")
+    names = {e.get("name") for e in (result.trace or {}).get(
+        "traceEvents", [])}
+    for required in ("lease.stolen", "worker.death", "cell.commit"):
+        if required not in names:
+            problems.append(f"trace instants missing {required!r}")
     if list_manifests(ckpt_root):
-        report.problems.append(
-            "completed sweep left its manifest behind")
-    return _finish(report, started, root, keep_scratch)
-
-
-def _finish(report: DrillReport, started: float, root: Path,
-            keep_scratch: bool) -> DrillReport:
-    report.duration = time.monotonic() - started
-    if report.ok and not keep_scratch:
-        shutil.rmtree(root, ignore_errors=True)
-        report.scratch = None
-    return report
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.fabric.chaos",
-        description="seeded kill/stall/interrupt drill for the sweep "
-                    "fabric")
-    parser.add_argument("--workers", type=int, default=4)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--ttl", type=float, default=1.0)
-    parser.add_argument("--scratch", default=None,
-                        help="scratch directory (default: temp dir, "
-                             "removed on success)")
-    opts = parser.parse_args(argv)
-    report = run_drill(workers=opts.workers, seed=opts.seed,
-                       ttl=opts.ttl, scratch=opts.scratch, out=print)
-    print(report.render())
-    return 0 if report.ok else 1
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+        problems.append("completed sweep left its manifest behind")

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List
 
 from repro.errors import DeviceError
-from repro.workloads.roles import kernel_roles
+from repro.sync.roles import kernel_roles
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.gpu.device_api import WavefrontCtx

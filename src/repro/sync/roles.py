@@ -19,7 +19,8 @@ are plain enough for the AST pass to parse the decorator call without
 importing the module.
 
 This module is import-light on purpose (stdlib only): it is imported by
-``repro.sync`` primitives and must not drag the simulator in.
+the ``repro.sync`` primitives and the workload registry, and must not
+drag the simulator in.
 """
 
 from __future__ import annotations

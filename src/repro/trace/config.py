@@ -18,7 +18,7 @@ CATEGORIES: Tuple[str, ...] = (
     "cp",        # Command Processor: context switches, log drains, spills
     "mem",       # memory-op counts (counts only; no per-op ring events)
     "engine",    # scheduler health: peak pending, lane hit ratio, compactions
-    "fabric",    # sweep fleet: lease grants/expiries/steals, worker deaths
+    "fabric",    # sweep fleet: lease grants/steals, commits, worker deaths
     "durability",  # I/O degradation: retries, dropped puts, flush failures
 )
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, List, Sequence
 
-from repro.workloads.roles import kernel_roles
+from repro.sync.roles import kernel_roles
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.gpu.device_api import WavefrontCtx

@@ -1,7 +1,7 @@
 """Graceful-degradation + temp-hygiene tests for the result cache.
 
 The regression this file pins down: ``ResultCache.put`` must never
-leave a stray temp (or claim) file behind — not when serialization
+leave a stray temp file behind — not when serialization
 raises, not when the disk injects EIO, not when it fills up — and a
 full disk must flip the cache to read-through instead of killing the
 sweep.
@@ -22,7 +22,7 @@ def _result():
 
 
 def _strays(root):
-    """Leftover temp/claim files anywhere under the cache root."""
+    """Leftover temp files anywhere under the cache root."""
     if not root.is_dir():
         return []
     return sorted(p for p in root.rglob(".*") if p.is_file())
@@ -42,7 +42,7 @@ def test_put_with_raising_serialization_leaks_nothing(tmp_path):
     with pytest.raises(ValueError):
         cache.put(cache.key_for({"cell": "poison"}), poisoned)
     # serialization happens before the first file operation: the cache
-    # root holds no temp, no claim, no shard — nothing at all
+    # root holds no temp, no shard — nothing at all
     assert _strays(tmp_path) == []
     assert cache.entry_count() == 0
 
@@ -84,17 +84,18 @@ def test_enospc_flips_read_through_degradation(tmp_path):
 
 
 def test_contended_claim_skips_the_put(tmp_path):
+    """A put whose link loses to an entry a rival already committed
+    stores nothing, keeps the rival's bytes and removes its own temp."""
     cache = ResultCache(tmp_path, fingerprint="t")
     key = cache.key_for({"cell": "a"})
     path = cache._path(key)
     path.parent.mkdir(parents=True)
-    claim = path.with_name(f".{path.name}.claim")
-    claim.write_text("")  # a fresh rival claim
-    cache.put(key, _result())
+    path.write_text("rival bytes")
+    assert cache.put(key, _result()) is False
     assert cache.contended == 1
     assert cache.stores == 0
-    assert not path.exists()
-    assert claim.exists()  # the rival's claim is not ours to break
+    assert path.read_text() == "rival bytes"
+    assert _strays(tmp_path) == []
 
 
 def test_get_self_heals_torn_entries(tmp_path):

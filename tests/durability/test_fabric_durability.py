@@ -1,5 +1,6 @@
-"""Fabric-layer durability: skew-tolerant lease expiry, exactly-once
-commits under injected faults, torn journal tails.
+"""Fabric-layer durability: skew-tolerant lease expiry, and the
+exactly-once commit (the result cache's link commit) under injected
+faults.
 
 The regression this file pins down: lease expiry used to compare the
 raw mtime age against the TTL, so coarse filesystem timestamps (1-2s
@@ -17,7 +18,8 @@ import pytest
 from repro.durability import vfs
 from repro.durability.vfs import armed, named_durability_plan
 from repro.errors import ConfigError
-from repro.fabric.lease import FabricDir, fabric_skew_slop
+from repro.experiments.cache import ResultCache
+from repro.fabric.fleet import FabricDir, fabric_skew_slop
 
 TTL = 10.0
 
@@ -101,43 +103,19 @@ def test_skewed_clock_heartbeats_stay_within_the_slop(tmp_path):
 # -- exactly-once commits under fault injection -------------------------
 
 def test_commit_result_survives_flaky_disk_exactly_once(tmp_path):
-    fab = _fabric(tmp_path)
-    payload = {"cycles": 123, "completed": True}
+    from repro.durability.harness import _sample_results
+
+    cache = ResultCache(tmp_path / "cache", fingerprint="t")
+    key = cache.key_for({"cell": "1"})
+    result = _sample_results()["a"]
     plan = named_durability_plan("flaky-disk", seed=1)
     vfs.reset_stats()
     with armed(tmp_path, plan=plan):
-        first = fab.commit_result("cell-1", payload)
-        second = fab.commit_result("cell-1", payload)
+        first = cache.put(key, result)
+        second = cache.put(key, result)
     assert first is True
     assert second is False  # exactly once, even while the disk misfires
-    committed = fab.read_result("cell-1")
-    assert committed is not None and committed["result"] == payload
-    strays = [p for p in fab.results.iterdir()
+    assert cache.get(key) == result
+    strays = [p for p in cache._path(key).parent.iterdir()
               if p.name.startswith(".")]
     assert strays == []  # no temp survives the retries
-
-
-def test_torn_journal_tail_is_skipped_not_fatal(tmp_path):
-    from repro.durability.vfs import DurabilityPlan
-
-    fab = _fabric(tmp_path)
-    # a healthy event first, then a torn append (short write: only a
-    # prefix of the line persists, no trailing newline)
-    fab.append_event("claim", key="cell-1")
-    torn_plan = DurabilityPlan(name="torn", seed=1, short_write_prob=1.0)
-    with armed(tmp_path, plan=torn_plan):
-        fab.append_event("commit", key="cell-2")
-    offset, events = fab.read_events()
-    assert [e["ev"] for e in events] == ["claim"]
-    # the torn tail (no newline yet) stays unconsumed, nothing crashes
-    again, more = fab.read_events(offset)
-    assert (again, more) == (offset, [])
-    # a later healthy append closes the corrupted record boundary: the
-    # merged unparseable line is consumed and skipped, and the journal
-    # keeps flowing for records after it
-    fab.append_event("release", key="cell-1")
-    offset2, merged = fab.read_events(offset)
-    assert offset2 > offset and merged == []
-    fab.append_event("done", key="cell-1")
-    _, tail = fab.read_events(offset2)
-    assert [e["ev"] for e in tail] == ["done"]

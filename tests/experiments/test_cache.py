@@ -310,7 +310,7 @@ def test_verify_flags_pre_digest_entries(cache):
 
 
 # ---------------------------------------------------------------------------
-# concurrent writers (satellite: the O_EXCL per-key writer claim)
+# concurrent writers (the hard-link exactly-once commit)
 # ---------------------------------------------------------------------------
 
 _PUT_RIVAL = """\
@@ -331,40 +331,38 @@ for _ in range(25):
 """
 
 
-def test_put_skips_while_a_rival_holds_the_claim(cache):
-    """Entries are content-addressed, so the loser of the claim race
-    skips the write entirely instead of re-renaming identical bytes."""
+def test_racing_puts_store_exactly_once(cache):
+    """The link commit: of two writers racing one key exactly one
+    stores, the loser counts as contended (its bytes never replace the
+    winner's), and neither leaves a temp or claim file behind."""
     key = "a1" + "0" * 62
-    path = cache._path(key)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    claim = path.with_name(f".{path.name}.claim")
-    claim.write_text("")  # a live rival mid-write
-    cache.put(key, _simple_result())
-    assert cache.get(key) is None  # skipped, rival owns the slot
-    assert cache.contended == 1 and cache.stores == 0
-    claim.unlink()
-    cache.put(key, _simple_result())
-    assert cache.get(key).cycles == 1
-    assert cache.stores == 1
+    rival = ResultCache(cache.root, fingerprint="fp0")
+    assert cache.put(key, _simple_result(cycles=1)) is True
+    assert rival.put(key, _simple_result(cycles=2)) is False
+    assert (cache.stores, cache.contended) == (1, 0)
+    assert (rival.stores, rival.contended) == (0, 1)
+    assert rival.get(key).cycles == 1  # the first commit stands
+    assert [p.name for p in cache._path(key).parent.iterdir()] == \
+        [f"{key}.json"]
 
 
-def test_put_breaks_a_stale_claim_from_a_dead_writer(cache):
-    import os
-    import time
-
-    from repro.experiments.cache import _CLAIM_TTL
-
+def test_put_skips_while_a_rival_holds_the_claim(cache):
+    """The entry's name is the claim: while a rival's linked entry
+    holds it, a put skips without touching the rival's bytes; once the
+    entry is gone (healed or cleared) the next put stores."""
     key = "b2" + "0" * 62
     path = cache._path(key)
     path.parent.mkdir(parents=True, exist_ok=True)
-    claim = path.with_name(f".{path.name}.claim")
-    claim.write_text("")
-    stale = time.time() - _CLAIM_TTL - 10
-    os.utime(claim, (stale, stale))
-    cache.put(key, _simple_result(cycles=3))
-    assert cache.get(key).cycles == 3  # the orphaned claim was broken
-    assert cache.contended == 0
-    assert not claim.exists()
+    ResultCache(cache.root, fingerprint="fp0").put(
+        key, _simple_result(cycles=5))  # the rival commits first
+    before = path.read_bytes()
+    assert cache.put(key, _simple_result()) is False
+    assert path.read_bytes() == before
+    assert cache.contended == 1 and cache.stores == 0
+    path.unlink()
+    assert cache.put(key, _simple_result()) is True
+    assert cache.get(key).cycles == 1
+    assert cache.stores == 1
 
 
 def test_concurrent_puts_leave_one_intact_entry(cache, tmp_path):

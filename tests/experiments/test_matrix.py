@@ -56,8 +56,12 @@ def test_cache_round_trip_returns_equal_result(tmp_path):
     requests = [RunRequest("SPM_G", awg(), SCEN)]
     cold = run_matrix(requests, jobs=1, cache=cache)
     assert (cold.cache_hits, cold.cache_misses) == (0, 1)
+    assert cold.summary().startswith(
+        "matrix: 1 cells, 1 executed, 0 failed, 0 cache hits, 1 misses")
     warm = run_matrix(requests, jobs=1, cache=cache)
     assert (warm.cache_hits, warm.cache_misses) == (1, 0)
+    assert warm.executed == 0
+    assert "1 cells, 0 executed, 0 failed, 1 cache hits" in warm.summary()
     assert warm.cells[0].from_cache
     assert _result_fields(cold[0]) == _result_fields(warm[0])
 
@@ -106,6 +110,9 @@ def test_per_cell_error_capture_does_not_abort_sweep():
     matrix = run_matrix(requests, jobs=1, cache=None)
     assert matrix[0].ok
     assert matrix[2].ok
+    # without a cache the summary still says what ran and what failed
+    assert matrix.summary().startswith(
+        "matrix: 3 cells, 3 executed, 1 failed, 0 cache hits, 0 misses")
     errors = matrix.errors
     assert len(errors) == 1 and errors[0][0] == 1
     with pytest.raises(CellError, match="NO_SUCH_BENCHMARK"):

@@ -11,13 +11,13 @@ import pytest
 
 from repro.core.policies import named_policy
 from repro.errors import ConfigError
-from repro.experiments.cache import RESULT_FIELDS, payload_digest
+from repro.experiments.cache import RESULT_FIELDS, result_to_payload
 from repro.experiments.matrix import CellError, RunRequest, run_matrix
 from repro.experiments.runner import QUICK_SCALE
-from repro.fabric.coordinator import Coordinator, run_fabric
-from repro.fabric.lease import FabricDir
-from repro.fabric.worker import EXIT_FINGERPRINT, EXIT_OK, Worker
-from repro.recovery.manifest import SweepCheckpoint
+from repro.fabric.fleet import (
+    EXIT_FINGERPRINT, EXIT_OK, Coordinator, FabricDir, Worker, run_fabric,
+)
+from repro.recovery.manifest import SweepCheckpoint, cell_key
 
 SCENARIO = QUICK_SCALE.scaled(label="fabric-test", iterations=4,
                               episodes=16)
@@ -79,10 +79,13 @@ def test_fabric_resume_never_reexecutes_completed_cells(
     assert outcome.ok, outcome.errors
     assert outcome.resumed == 1
     assert _fields(outcome[0]) == _fields(done[0])
-    executed = [line.split("\t")[0]
-                for line in exec_log.read_text().splitlines()]
+    lines = [line.split("\t") for line in exec_log.read_text().splitlines()]
+    executed = [fields[0] for fields in lines if fields[0] != "commit"]
     assert executed == ["SLM_G"], \
         "the checkpointed cell must never re-execute"
+    # the worker's commit line names the one cell it committed
+    committed = [fields[1] for fields in lines if fields[0] == "commit"]
+    assert committed == [cell_key(specs[1])]
 
 
 def test_deterministic_failure_settles_without_retry(tmp_path):
@@ -125,7 +128,7 @@ def test_worker_refuses_a_foreign_fingerprint(tmp_path):
         "cells": [{"key": "k", "spec": {}}],
         "ttl": 1.0,
     })
-    worker = Worker(tmp_path / "fab", "w0", sweep_wait=1.0)
+    worker = Worker(tmp_path / "fab", "w0")
     assert worker.load_sweep() == EXIT_FINGERPRINT
 
 
@@ -133,11 +136,11 @@ def test_worker_exits_cleanly_on_stop_before_sweep(tmp_path):
     fabric = FabricDir(tmp_path / "fab")
     fabric.init()
     fabric.write_stop("aborted before publish")
-    worker = Worker(tmp_path / "fab", "w0", sweep_wait=30.0)
+    worker = Worker(tmp_path / "fab", "w0")
     assert worker.load_sweep() == EXIT_OK
 
 
-def test_corrupt_commit_is_quarantined_not_recorded(tmp_path):
+def test_corrupt_commit_is_never_recorded(tmp_path):
     coordinator = Coordinator(
         [_request("SPM_G")],
         checkpoint_root=tmp_path / "ckpt", fabric_root=tmp_path / "fab",
@@ -145,17 +148,17 @@ def test_corrupt_commit_is_quarantined_not_recorded(tmp_path):
     )
     coordinator.prepare()
     key = coordinator.keys[0]
-    # a worker died mid-write... except the hard-link protocol makes
-    # that impossible; simulate a corrupted filesystem instead
-    payload = {"benchmark": "SPM_G", "cycles": 1}
-    coordinator.dir.result_path(key).write_text(json.dumps({
-        "result": payload, "key": key, "digest": "0" * 64,
-    }))
-    assert payload_digest(payload) != "0" * 64
-    coordinator.poll()
-    coordinator.poll()  # quarantine is journaled, ingested next tick
-    assert coordinator.stats["fabric.results.quarantined"] == 1
-    assert not coordinator.dir.has_result(key)
+    # a well-formed entry whose payload no longer matches its digest
+    # (bit rot, or a writer that bypassed the link commit)
+    entry = coordinator.cache._path(coordinator.cache_keys[key])
+    entry.parent.mkdir(parents=True, exist_ok=True)
+    payload = result_to_payload(
+        run_matrix([_request("SPM_G")], jobs=1, cache=None)[0])
+    entry.write_text(json.dumps({"result": payload, "key": entry.stem,
+                                 "digest": "0" * 64}))
+    assert not coordinator.poll()
     assert key not in coordinator.ckpt.completed
-    quarantined = list((coordinator.dir.root / "quarantine").iterdir())
-    assert len(quarantined) == 1
+    assert "fabric.cells.committed" not in coordinator.stats
+    # the bad entry healed to a miss: the cell is open for a re-run
+    assert not entry.exists()
+    assert coordinator.cache.healed == 1

@@ -1,16 +1,22 @@
-"""Unit tests of the fabric's on-disk protocol (repro.fabric.lease).
+"""Unit tests of the fabric's on-disk lease protocol.
 
 The invariants drilled here are what the chaos drill relies on end to
-end: exactly-one claim winner, mtime-driven expiry immune to a stolen
-lease's stale heartbeats, exactly-once result commits, and journal
-readers that skip torn tails.
+end: exactly-one claim winner, ownership-checked release, mtime-driven
+expiry immune to a stolen lease's stale heartbeats, the sweep version
+gate and the stop file. The commit itself is the result cache's link
+commit (tests/experiments/test_cache.py).
 """
 
 import json
 import os
 import time
 
-from repro.fabric.lease import LEASE_VERSION, FabricDir
+from repro.core.policies import awg
+from repro.experiments.cache import ResultCache
+from repro.experiments.matrix import EXEC_LOG_ENV, RunRequest
+from repro.experiments.runner import QUICK_SCALE, RunResult
+from repro.fabric import fleet
+from repro.fabric.fleet import LEASE_VERSION, FabricDir, Worker
 
 
 def _dir(tmp_path) -> FabricDir:
@@ -105,27 +111,50 @@ def test_foreign_version_lease_is_ignored(tmp_path):
     assert fabric.read_lease("cell") is None
 
 
-# -- commits ----------------------------------------------------------
+# -- commit -----------------------------------------------------------
 
-def test_commit_result_is_exactly_once(tmp_path):
+def _result(cycles):
+    return RunResult(
+        benchmark="SPM_G", policy="AWG", scenario="quick",
+        cycles=cycles, completed=True, deadlocked=False, reason="completed",
+        atomics=0, waiting_atomics=0, context_switches=0,
+        wg_running_cycles=0, wg_waiting_cycles=0,
+    )
+
+
+def test_commit_result_is_exactly_once(tmp_path, monkeypatch):
+    """A worker's commit is the result cache's link commit: a second
+    worker that re-executes a cell already committed (its first owner
+    died after the link, before the release) cannot replace the first
+    result, logs no second commit and leaves no residue."""
     fabric = _dir(tmp_path)
-    payload = {"benchmark": "SPM_G", "cycles": 123}
-    assert fabric.commit_result("cell", payload) is True
-    assert fabric.commit_result("cell", {"benchmark": "rival"}) is False
-    document = fabric.read_result("cell")
-    assert document["result"] == payload
-    assert document["key"] == "cell"
-    # no temp residue from either committer
-    assert [p.name for p in fabric.results.iterdir()] == ["cell.json"]
-
-
-def test_quarantine_makes_the_cell_pending_again(tmp_path):
-    fabric = _dir(tmp_path)
-    fabric.commit_result("cell", {"cycles": 1})
-    dest = fabric.quarantine_result("cell")
-    assert dest is not None and dest.exists()
-    assert not fabric.has_result("cell")
-    assert fabric.commit_result("cell", {"cycles": 1}) is True
+    outcomes = iter([_result(123), _result(456)])
+    monkeypatch.setattr(fleet, "execute_cell",
+                        lambda request, timeout: (next(outcomes), None))
+    exec_log = tmp_path / "exec.log"
+    monkeypatch.setenv(EXEC_LOG_ENV, str(exec_log))
+    spec = RunRequest(benchmark="SPM_G", policy=awg(),
+                      scenario=QUICK_SCALE).spec()
+    cache_key = "d4" + "0" * 62
+    workers = []
+    for name in ("w0", "w1"):
+        worker = Worker(fabric.root, name)
+        worker.cache = ResultCache(tmp_path / "cache", fingerprint="fp0")
+        worker.ttl, worker.cell_timeout = 5.0, None
+        worker.run_cell(fabric.claim("cell", name, ttl=5.0), cache_key,
+                        spec)
+        workers.append(worker)
+    first, second = workers
+    assert (first.cache.stores, first.cache.contended) == (1, 0)
+    assert (second.cache.stores, second.cache.contended) == (0, 1)
+    reader = ResultCache(tmp_path / "cache", fingerprint="fp0")
+    assert reader.get(cache_key, verify=True).cycles == 123
+    assert [line.split("\t")[:3] for line in
+            exec_log.read_text().splitlines()] == [["commit", "cell", "w0"]]
+    assert [p.name for p in reader._path(cache_key).parent.iterdir()] == \
+        [f"{cache_key}.json"]
+    assert fabric.read_lease("cell") is None
+    assert fabric.read_failure("cell") is None
 
 
 # -- failures ---------------------------------------------------------
@@ -144,33 +173,6 @@ def test_environmental_failure_settles_after_retries(tmp_path):
         assert not fabric.failure_settled("cell", retries=2)
     fabric.record_failure("cell", {"classification": "environmental"})
     assert fabric.failure_settled("cell", retries=2)
-
-
-# -- journals ---------------------------------------------------------
-
-def test_event_journal_skips_torn_tail(tmp_path):
-    fabric = _dir(tmp_path)
-    fabric.append_event("lease.grant", key="a")
-    offset, events = fabric.read_events(0)
-    assert [e["ev"] for e in events] == ["lease.grant"]
-    # a writer died mid-append: the torn fragment is never parsed as an
-    # event, and later complete lines still flow
-    with open(fabric.events_path, "ab") as fh:
-        fh.write(b'{"ev": "cell.com')
-    offset2, events2 = fabric.read_events(offset)
-    assert events2 == [] and offset2 == offset
-    fabric.append_event("worker.exit", worker="w0")
-    _offset3, events3 = fabric.read_events(offset2)
-    # the fragment merged into an unparseable line and was skipped
-    assert all(e["ev"] != "cell.com" for e in events3)
-
-
-def test_commit_journal_roundtrip_ignores_torn_lines(tmp_path):
-    fabric = _dir(tmp_path)
-    fabric.append_commit("cell-a", "w0")
-    with open(fabric.commits_path, "a") as fh:
-        fh.write("cell-b\tw1")  # torn: no pid column, no newline
-    assert fabric.read_commits() == [("cell-a", "w0")]
 
 
 # -- sweep / stop -----------------------------------------------------
