@@ -34,8 +34,6 @@ Usage::
     awg-repro sanitize _RACY        # the seeded-race drill (exits 1)
     awg-repro trace FAM_G awg --out t.json   # Chrome/Perfetto trace
     awg-repro trace SPM_G --quick --categories wg,sync,dispatch
-    awg-repro bench                 # perf suite -> BENCH_<n>.json
-    awg-repro bench --smoke --out bench-smoke.json   # CI smoke + gate
     awg-repro litmus run --smoke    # corpus + generated programs, judged
     awg-repro litmus run --seed 7 --programs 16      # wider random sweep
     awg-repro litmus generate --seed 3 --out progs.json
@@ -499,27 +497,6 @@ def _run_analyze(opts) -> int:
     return rc
 
 
-def _run_bench(opts) -> int:
-    """Run the continuous perf suite (see repro.experiments.bench)."""
-    from repro.experiments import bench
-
-    started = time.time()
-    doc, path, failures = bench.run_bench(
-        smoke=opts.smoke or opts.quick,
-        series=opts.series,
-        out=opts.out,
-    )
-    print(bench.render(doc))
-    print(f"\nwrote {path}  [{time.time() - started:.1f}s]")
-    if failures:
-        print(f"\nREGRESSION vs {doc.get('compared_against')}:",
-              file=sys.stderr)
-        for failure in failures:
-            print(f"  - {failure}", file=sys.stderr)
-        return 1
-    return 0
-
-
 def _run_fabric_command(opts, parser) -> int:
     """Distributed sweeps: run/resume on a leased worker fleet, inspect
     live fabric directories, or run the chaos drill."""
@@ -735,11 +712,7 @@ def _dispatch(argv=None) -> int:
                         help="small-scale smoke configuration")
     parser.add_argument("--smoke", action="store_true",
                         help="for 'faults': two-benchmark smoke campaign; "
-                             "for 'bench': small-scale gated run; for "
-                             "'litmus': golden policies + small corpus")
-    parser.add_argument("--series", type=int, default=None, metavar="N",
-                        help="for 'bench': BENCH_N.json series number "
-                             "(default: newest committed + 1)")
+                             "for 'litmus': golden policies + small corpus")
     parser.add_argument("--seed", type=int, default=1, metavar="N",
                         help="for 'faults'/'litmus': root seed for fault "
                              "plans / program generation")
@@ -843,7 +816,7 @@ def _dispatch(argv=None) -> int:
         print("experiments:", ", ".join(EXPERIMENTS))
         print("extras:      ablations, faults, timeline, cache, "
               "lint, analyze, sanitize, trace, matrix, replay, shrink, "
-              "bench, fabric, litmus, durability")
+              "fabric, litmus, durability")
         print("benchmarks: ", ", ".join(benchmark_names()))
         print("policies:    baseline, sleep, timeout, monrs-all, "
               "monr-all, monnr-all, monnr-one, awg, minresume")
@@ -865,9 +838,6 @@ def _dispatch(argv=None) -> int:
 
     if opts.command == "sanitize":
         return _run_sanitize(opts, parser)
-
-    if opts.command == "bench":
-        return _run_bench(opts)
 
     if opts.command == "trace":
         return _run_trace(opts, parser)

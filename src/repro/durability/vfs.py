@@ -8,8 +8,8 @@ module-level ``v*`` functions below — a thin layer over
 
 Disarmed (the default, and the only state production sweeps ever run
 in) every ``v*`` call is one ``is None`` check away from the raw
-``os`` call, so the gateway costs nothing; the ``durability`` row of
-``python -m repro bench`` measures exactly this.
+``os`` call, so the gateway costs nothing; the repo benchmark's
+``durability.vfs.self_s`` (``perfbench/``, traced mode) measures this.
 
 Armed (:func:`armed`, a context manager), the gateway:
 
@@ -32,7 +32,7 @@ Fault families:
     cache's read-through degradation exists for).
 ``short write``
     ``vwrite`` persists only a prefix of the buffer and reports the
-    short count — atomic writers loop, journal appends tear.
+    short count — atomic writers loop until the buffer is written.
 ``fsync that lies``
     ``vfsync`` returns success but the gateway does not mark the data
     durable; the crash-state enumerator may still lose it (firmware
@@ -45,11 +45,9 @@ Fault families:
 Graceful degradation helpers shared by the production writers:
 :func:`write_atomic_text` retries EINTR/EIO with bounded backoff
 (``REPRO_IO_RETRIES`` / ``REPRO_IO_BACKOFF``) and never leaks its temp
-file; :func:`append_text` is a single O_APPEND write whose torn tail
-is, by protocol, the *reader's* problem. Everything the degradation
-layer does is counted under ``durability.*`` stats and (when a tracer
-is attached) mirrored as instants in the ``durability`` trace
-category.
+file. Everything the degradation layer does is counted under
+``durability.*`` stats and (when a tracer is attached) mirrored as
+instants in the ``durability`` trace category.
 """
 
 from __future__ import annotations
@@ -739,26 +737,6 @@ def _cleanup_tmp(tmp: Path) -> None:
         vunlink(tmp, missing_ok=True)
     except OSError:
         pass
-
-
-def append_text(path: os.PathLike, text: str, mode: int = 0o644) -> None:
-    """One O_APPEND write of ``text``. Deliberately *not* retried as a
-    whole: a short write here is a torn journal tail, which the
-    journal readers are contractually required to skip — retrying the
-    full line after a partial one would duplicate records instead.
-    EINTR before any byte landed is retried (nothing was persisted)."""
-    data = text.encode()
-    fd = vopen(path, os.O_CREAT | os.O_APPEND | os.O_WRONLY, mode)
-    try:
-        while True:
-            try:
-                vwrite(fd, data)
-                return
-            except InterruptedError:
-                incr_stat("durability.retry.eintr")
-                continue
-    finally:
-        vclose(fd)
 
 
 def dump_oplog_jsonl(gateway: IOGateway, path: os.PathLike) -> None:

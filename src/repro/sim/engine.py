@@ -5,25 +5,23 @@ set of scheduled events. Components schedule
 :class:`~repro.sim.events.Event` objects to fire after a delay;
 processes (see :mod:`repro.sim.process`) yield events to wait for them.
 
-Two interchangeable engines implement the same contract:
-
-- :class:`CalendarEngine` (the default) — a calendar queue: a ring of
-  per-cycle FIFO buckets absorbs near-future events (the common case:
-  ``timeout(0)`` process starts, fixed-latency memory completions,
-  retry intervals), a binary-heap overflow lane holds far-future or
-  irregular events, and :meth:`~CalendarEngine.run` drains all events
-  that share a timestamp in one batched inner loop.
-- :class:`ReferenceEngine` — the original single binary heap, kept as
-  the semantic oracle. Select it with ``REPRO_ENGINE=reference``.
+:class:`CalendarEngine` (exported as :data:`Engine`) is a calendar
+queue: a ring of per-cycle FIFO buckets absorbs near-future events (the
+common case: ``timeout(0)`` process starts, fixed-latency memory
+completions, retry intervals), a binary-heap overflow lane holds
+far-future or irregular events, and :meth:`~CalendarEngine.run` drains
+all events that share a timestamp in one batched inner loop.
 
 **Determinism contract.** Events scheduled at the same cycle fire in
-FIFO order of scheduling, whichever engine runs them, so the two
-engines are bit-identical: same event order, same stats, same traces,
-same final memory. ``tests/integration/test_engine_differential.py``
-pins this.
+FIFO order of scheduling. A plain binary heap of ``(time, seq, event)``
+is the executable spec of that order: it lives in the tests as the
+oracle (``tests/sim/heap_engine.py``), and
+``tests/integration/test_engine_differential.py`` pins the two
+bit-identical — same event order, same stats, same traces, same final
+memory.
 
-Both engines bound lazy cancellation: a cancelled event's queue entry
-is garbage until its timestamp is reached, so preemption storms that
+Cancellation is lazy but bounded: a cancelled event's queue entry is
+garbage until its timestamp is reached, so preemption storms that
 cancel many far-future timeouts would otherwise grow memory and pop
 cost without bound. When dead entries cross a threshold the queue is
 compacted in place (see :meth:`_EngineBase.note_cancelled`).
@@ -32,7 +30,6 @@ compacted in place (see :meth:`_EngineBase.note_cancelled`).
 from __future__ import annotations
 
 import heapq
-import os
 from collections import deque
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -52,10 +49,8 @@ RING_SPAN = 2048
 
 
 class _EngineBase:
-    """Clock, event factory and accounting shared by both engines."""
-
-    #: engine flavour; also reported in :meth:`metrics`
-    kind = "base"
+    """Clock, event factory and lazy-cancellation accounting shared by
+    the production engine and the test oracle."""
 
     def __init__(self) -> None:
         self._now: int = 0
@@ -143,171 +138,6 @@ class _EngineBase:
         }
 
 
-class ReferenceEngine(_EngineBase):
-    """The original engine: one binary heap of ``(time, seq, event)``.
-
-    Kept bit-for-bit compatible as the oracle the fast engine is pinned
-    against (``REPRO_ENGINE=reference``)."""
-
-    kind = "reference"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._heap: List[Tuple[int, int, Event]] = []
-
-    def schedule(self, event: Event, delay: int = 0, value: object = None) -> Event:
-        """Arrange for ``event`` to fire ``delay`` cycles from now.
-
-        The event's value is set at fire time; scheduling an already-fired
-        or already-scheduled event is an error.
-        """
-        if delay < 0:
-            raise SimulationError(f"negative delay: {delay}")
-        event.mark_scheduled(value)
-        self._seq += 1
-        heapq.heappush(self._heap, (self._now + delay, self._seq, event))
-        live = self._live + 1
-        self._live = live
-        if live > self._peak_pending:
-            self._peak_pending = live
-        return event
-
-    def _physical_size(self) -> int:
-        return len(self._heap)
-
-    def _compact(self) -> None:
-        heap = self._heap
-        removed = self._dead
-        # in place, so aliases held by an active run() loop stay valid
-        heap[:] = [entry for entry in heap if not entry[2].cancelled]
-        heapq.heapify(heap)
-        self._dead = 0
-        self._compactions += 1
-        self._compacted_entries += removed
-        self._reaped += removed
-
-    def peek(self) -> Optional[int]:
-        """The time of the next scheduled event, or None if idle.
-
-        Dead (cancelled) heads drained here feed the same compaction
-        accounting as the run loop, so scheduler statistics stay exact
-        whichever path discards them."""
-        heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)
-            self._dead -= 1
-            self._reaped += 1
-        if not heap:
-            return None
-        return heap[0][0]
-
-    def step(self) -> bool:
-        """Fire the next event. Returns False if the queue is empty."""
-        heap = self._heap
-        pop = heapq.heappop
-        while heap:
-            when, _seq, event = pop(heap)
-            if event.cancelled:
-                self._dead -= 1
-                self._reaped += 1
-                continue
-            if when < self._now:
-                raise SimulationError("event heap time went backwards")
-            self._now = when
-            self._live -= 1
-            self._fired += 1
-            event.fire()
-            return True
-        return False
-
-    def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
-        """Run until the queue drains, ``until`` cycles pass, or the event
-        budget is exhausted. Returns the number of events processed.
-
-        Events scheduled exactly at ``until`` still fire; the clock only
-        advances to ``until`` when a strictly later event remains."""
-        if self._running:
-            raise SimulationError("engine is already running (re-entrant run)")
-        self._running = True
-        heap = self._heap
-        pop = heapq.heappop
-        processed = 0
-        try:
-            while heap:
-                when, _seq, event = heap[0]
-                if event.cancelled:
-                    pop(heap)
-                    self._dead -= 1
-                    self._reaped += 1
-                    continue
-                if until is not None and when > until:
-                    self._now = until
-                    break
-                if max_events is not None and processed >= max_events:
-                    break
-                pop(heap)
-                if when < self._now:
-                    raise SimulationError("event heap time went backwards")
-                self._now = when
-                self._live -= 1
-                self._fired += 1
-                event.fire()
-                processed += 1
-        finally:
-            self._running = False
-        return processed
-
-    def drain_batches(self, boundary: int, should_halt: Callable[[], bool]) -> int:
-        """Fire whole same-timestamp batches while the next event is
-        strictly before ``boundary``; re-check ``should_halt`` only
-        between timestamps. Returns the number of events fired.
-
-        This is the hot API behind :meth:`repro.gpu.gpu.GPU.run`: the
-        caller performs its (rare) watchdog / cycle-budget checks at
-        batch boundaries instead of paying per-event Python dispatch."""
-        if self._running:
-            raise SimulationError("engine is already running (re-entrant run)")
-        self._running = True
-        heap = self._heap
-        pop = heapq.heappop
-        fired = 0
-        try:
-            while heap:
-                head = heap[0]
-                if head[2].cancelled:
-                    pop(heap)
-                    self._dead -= 1
-                    self._reaped += 1
-                    continue
-                t = head[0]
-                if t >= boundary:
-                    break
-                if should_halt():
-                    break
-                if t < self._now:
-                    raise SimulationError("event heap time went backwards")
-                self._now = t
-                # drain every event at t (including ones scheduled at t
-                # by the events themselves) in one inner loop
-                while heap:
-                    when, _seq, event = heap[0]
-                    if event.cancelled:
-                        pop(heap)
-                        self._dead -= 1
-                        self._reaped += 1
-                        continue
-                    if when != t:
-                        break
-                    pop(heap)
-                    self._live -= 1
-                    event.fire()
-                    fired += 1
-        finally:
-            self._running = False
-        self._fired += fired
-        return fired
-
-
 class CalendarEngine(_EngineBase):
     """Calendar-queue engine: per-cycle FIFO ring + heap overflow lane.
 
@@ -326,8 +156,6 @@ class CalendarEngine(_EngineBase):
       in the same inner loop: ``timeout(0)`` process starts and notify
       chains never touch the heap and never re-enter the outer loop.
     """
-
-    kind = "calendar"
 
     def __init__(self) -> None:
         super().__init__()
@@ -481,9 +309,16 @@ class CalendarEngine(_EngineBase):
         not once per event (the budget still splits a batch exactly).
         Next-timestamp discovery and the batch drain are inlined: real
         workloads average only a few events per timestamp, so two method
-        calls per batch would rival the cost of the work itself."""
+        calls per batch would rival the cost of the work itself.
+
+        ``until`` may not lie before the clock: the ring's window
+        invariant (every entry within ``RING_SPAN`` of ``now``) does not
+        survive a rewind."""
         if self._running:
             raise SimulationError("engine is already running (re-entrant run)")
+        if until is not None and until < self._now:
+            raise SimulationError(
+                f"run(until={until}) is before the clock ({self._now})")
         self._running = True
         processed = 0
         overflow = self._overflow
@@ -580,9 +415,10 @@ class CalendarEngine(_EngineBase):
         strictly before ``boundary``; re-check ``should_halt`` only
         between timestamps. Returns the number of events fired.
 
-        See :meth:`ReferenceEngine.drain_batches` — identical contract;
-        like :meth:`run`, discovery and drain are inlined because this
-        is the innermost loop of :meth:`repro.gpu.gpu.GPU.run`."""
+        This is the hot API behind :meth:`repro.gpu.gpu.GPU.run`: the
+        caller performs its (rare) watchdog / cycle-budget checks at
+        batch boundaries instead of paying per-event Python dispatch.
+        Like :meth:`run`, discovery and drain are inlined."""
         if self._running:
             raise SimulationError("engine is already running (re-entrant run)")
         self._running = True
@@ -669,35 +505,6 @@ class CalendarEngine(_EngineBase):
         return out
 
 
-#: engine selection: REPRO_ENGINE=calendar|fast (default) or reference|heap
-ENGINE_KINDS: Dict[str, type] = {
-    "calendar": CalendarEngine,
-    "fast": CalendarEngine,
-    "reference": ReferenceEngine,
-    "heap": ReferenceEngine,
-}
-
-
-def engine_kind(explicit: Optional[str] = None) -> str:
-    """Resolve the engine flavour (canonical name):
-    explicit arg > ``$REPRO_ENGINE`` > default."""
-    kind = (explicit or os.environ.get("REPRO_ENGINE", "") or "calendar")
-    kind = kind.strip().lower()
-    if kind not in ENGINE_KINDS:
-        raise SimulationError(
-            f"unknown engine {kind!r} (REPRO_ENGINE); "
-            f"known: {', '.join(sorted(ENGINE_KINDS))}"
-        )
-    return ENGINE_KINDS[kind].kind
-
-
-def make_engine(kind: Optional[str] = None) -> _EngineBase:
-    """Build the selected engine (``REPRO_ENGINE`` picks the default)."""
-    return ENGINE_KINDS[engine_kind(kind)]()
-
-
-def Engine(kind: Optional[str] = None) -> _EngineBase:  # noqa: N802
-    """Factory kept under the historical class name: ``Engine()`` returns
-    the engine selected by ``REPRO_ENGINE`` (calendar unless overridden),
-    so every existing call site picks up the fast engine transparently."""
-    return make_engine(kind)
+#: the production engine; the binary-heap oracle it is pinned against
+#: lives in the tests (``tests/sim/heap_engine.py``)
+Engine = CalendarEngine

@@ -238,18 +238,6 @@ def test_utime_skew_and_granularity(tmp_path):
     assert mtime % 2.0 == pytest.approx(0.0, abs=1e-6)  # coarsened
 
 
-def test_append_text_torn_tail_is_not_retried(tmp_path):
-    plan = DurabilityPlan(name="torn-journal", seed=1,
-                          short_write_prob=1.0)
-    with armed(tmp_path, plan=plan) as gw:
-        vfs.append_text(tmp_path / "events.log", "half-a-record\n")
-    record = [r for r in gw.log if r.op == "write"][0]
-    assert record.fault == "short"
-    assert len(record.data) < record.requested
-    # exactly one write: no whole-line retry duplicating records
-    assert len([r for r in gw.log if r.op == "write"]) == 1
-
-
 # -- log export ---------------------------------------------------------
 
 def test_dump_log_and_oplog_jsonl(tmp_path):

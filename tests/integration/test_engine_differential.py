@@ -1,7 +1,9 @@
-"""Calendar engine vs reference heap engine: bit-identity, everywhere.
+"""Calendar engine vs the binary-heap oracle: bit-identity, everywhere.
 
-The calendar-queue engine (the default) must be indistinguishable from
-the ``REPRO_ENGINE=reference`` binary heap on every observable surface:
+The production calendar-queue engine must be indistinguishable from the
+binary-heap oracle (:class:`tests.sim.heap_engine.HeapEngine`, swapped
+into :class:`~repro.gpu.gpu.GPU` with ``monkeypatch``) on every
+observable surface:
 
 * the full benchmark × policy matrix (the same 12×8 grid the policy
   differential suite uses) produces identical cycles, completion
@@ -11,13 +13,14 @@ the ``REPRO_ENGINE=reference`` binary heap on every observable surface:
   *allowed* to differ — the calendar engine reports two extra lane
   counters) is filtered out;
 * a checkpointed sweep that is SIGKILLed mid-flight and resumed under
-  the calendar engine finishes bit-identical to an uninterrupted
-  reference-engine run of the same sweep.
+  the production engine finishes bit-identical to an uninterrupted
+  oracle run of the same sweep.
 
 Scheduling order is the simulator's ground truth — a single divergent
 tie-break cascades into different lock handoff orders, different resume
 sets, and different final stats — so these tests are the contract that
-lets the fast engine replace the heap without re-baselining goldens.
+lets the calendar queue stand in for the heap without re-baselining
+goldens.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.gpu.gpu
 from repro.core.policies import (
     awg,
     baseline,
@@ -43,9 +47,10 @@ from repro.core.policies import (
 from repro.experiments import QUICK_SCALE, run_benchmark
 from repro.experiments.cache import RESULT_FIELDS
 from repro.experiments.matrix import run_matrix
-from repro.sim.engine import ENGINE_KINDS
+from repro.sim.engine import CalendarEngine
 from repro.trace.config import TraceConfig
 from repro.workloads.registry import benchmark_names
+from tests.sim.heap_engine import HeapEngine
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -75,28 +80,22 @@ POLICIES = [
     minresume(),
 ]
 BENCHMARKS = benchmark_names()
-#: canonical engine kinds under test (aliases collapse to these)
-ENGINES = sorted({cls.kind for cls in ENGINE_KINDS.values()})
+#: the engine class each side of the comparison builds GPUs with
+ENGINES = {"reference": HeapEngine, "calendar": CalendarEngine}
 
 
 def _run_with_engine(kind, *args, **kwargs):
-    """run_benchmark under a specific engine via $REPRO_ENGINE."""
-    saved = os.environ.get("REPRO_ENGINE")
-    os.environ["REPRO_ENGINE"] = kind
-    try:
+    """run_benchmark with every GPU built on the given engine."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(repro.gpu.gpu, "Engine", ENGINES[kind])
         return run_benchmark(*args, **kwargs)
-    finally:
-        if saved is None:
-            del os.environ["REPRO_ENGINE"]
-        else:
-            os.environ["REPRO_ENGINE"] = saved
 
 
 @pytest.fixture(scope="module")
 def matrix():
     """(engine, benchmark, policy) -> RunResult, GPUs kept for memory."""
     cells = {}
-    for kind in ("reference", "calendar"):
+    for kind in ENGINES:
         for bench in BENCHMARKS:
             for policy in POLICIES:
                 cells[(kind, bench, policy.name)] = _run_with_engine(
@@ -104,6 +103,14 @@ def matrix():
                     validate=False, keep_gpu=True,
                 )
     return cells
+
+
+def test_each_side_ran_on_its_engine(matrix):
+    """Guard against a vacuous comparison: the patch must reach GPU."""
+    for kind, cls in ENGINES.items():
+        cell = matrix[(kind, BENCHMARKS[0], POLICIES[0].name)]
+        assert type(cell.gpu.env) is cls
+    assert repro.gpu.gpu.Engine is CalendarEngine  # the patch was undone
 
 
 @pytest.mark.parametrize("bench", BENCHMARKS)
@@ -180,7 +187,7 @@ def test_traced_run_exports_identically():
             kind, "FAM_G", awg(), QUICK_SCALE,
             validate=False, config_overrides=overrides,
         )
-        for kind in ("reference", "calendar")
+        for kind in ENGINES
     }
     ref, cal = results["reference"], results["calendar"]
     assert ref.cycles == cal.cycles
@@ -233,9 +240,9 @@ def _result_fields(result):
 
 
 def test_kill_and_resume_matches_reference_engine(tmp_path, monkeypatch):
-    """SIGKILL a calendar-engine sweep mid-flight, resume it, and pin
+    """SIGKILL a production-engine sweep mid-flight, resume it, and pin
     the resumed results bit-equal to an uninterrupted sweep under the
-    reference heap engine — crash recovery and the engine swap compose."""
+    heap oracle — crash recovery and the engine swap compose."""
     ckpt_dir = tmp_path / "ckpt"
     sentinel = tmp_path / "kill-me"
     sentinel.write_text("")
@@ -245,7 +252,6 @@ def test_kill_and_resume_matches_reference_engine(tmp_path, monkeypatch):
         os.environ,
         PYTHONPATH=SRC,
         REPRO_NO_CACHE="1",
-        REPRO_ENGINE="calendar",
         REPRO_STRESS_KILL=str(sentinel),
     )
     env.pop("REPRO_CHECKPOINT", None)
@@ -258,15 +264,15 @@ def test_kill_and_resume_matches_reference_engine(tmp_path, monkeypatch):
     assert child.returncode == -signal.SIGKILL
     assert not sentinel.exists()  # the drill consumed its sentinel
 
-    # resume under the calendar engine in-process
-    monkeypatch.setenv("REPRO_ENGINE", "calendar")
+    # resume under the production engine in-process
     requests = _build_requests()
     resumed = run_matrix(requests, jobs=1, cache=None, checkpoint=ckpt_dir)
     assert not resumed.errors
     assert resumed.resumed == 2  # SPM_G, FAM_G survived the crash
 
-    # the uninterrupted control runs on the reference heap engine
-    monkeypatch.setenv("REPRO_ENGINE", "reference")
+    # the uninterrupted control runs on the heap oracle (jobs=1 keeps
+    # every cell in this process, where the patch applies)
+    monkeypatch.setattr(repro.gpu.gpu, "Engine", HeapEngine)
     control = run_matrix(_build_requests(), jobs=1, cache=None,
                          checkpoint=False)
     assert not control.errors
@@ -274,5 +280,5 @@ def test_kill_and_resume_matches_reference_engine(tmp_path, monkeypatch):
         assert _result_fields(resumed[index]) == \
             _result_fields(control[index]), (
                 f"cell {index} diverged between a killed-and-resumed "
-                f"calendar sweep and an uninterrupted reference sweep"
+                f"production sweep and an uninterrupted oracle sweep"
             )

@@ -1,23 +1,25 @@
 """Unit tests for the discrete-event engine.
 
-Every behavioral test runs against BOTH engines (the calendar-queue
-default and the reference heap) via the parametrized ``env`` fixture —
-the contract is engine-independent by design.
+Every behavioral test runs against BOTH the production calendar-queue
+engine and the binary-heap oracle (``tests/sim/heap_engine.py``) via the
+parametrized ``env`` fixture — the contract is engine-independent by
+design.
 """
 
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim.engine import (
-    CalendarEngine, COMPACT_MIN_DEAD, Engine, ReferenceEngine, RING_SPAN,
-    engine_kind, make_engine,
+    CalendarEngine, COMPACT_MIN_DEAD, Engine, RING_SPAN,
 )
 from repro.sim.events import Event
+from tests.sim.heap_engine import HeapEngine
 
 
-@pytest.fixture(params=["calendar", "reference"])
+@pytest.fixture(params=[CalendarEngine, HeapEngine],
+                ids=["calendar", "reference"])
 def env(request):
-    return make_engine(request.param)
+    return request.param()
 
 
 def test_clock_starts_at_zero(env):
@@ -239,7 +241,7 @@ def test_drain_batches_stops_at_boundary_and_halt(env):
 def _scan_pending_events(env):
     """The original O(n) full-queue scan, kept as the oracle for the
     incrementally maintained counter behind ``pending_events()``."""
-    if isinstance(env, ReferenceEngine):
+    if isinstance(env, HeapEngine):
         return sum(1 for (_, _, ev) in env._heap if not ev.cancelled)
     return (sum(1 for (_, _, ev) in env._overflow if not ev.cancelled)
             + sum(1 for b in env._ring for ev in b if not ev.cancelled))
@@ -287,6 +289,23 @@ def test_fused_run_skips_cancelled_head(env):
     assert env.run() == 1
     assert fired == [2]
     assert env.now == 2
+
+
+def test_run_until_before_now_is_rejected(env):
+    """A rewound clock would break the calendar ring's window invariant
+    (entries of different timestamps sharing one bucket) and fire later
+    events out of order; both engines reject it instead."""
+    fired = []
+    env.call_at(100, lambda: None)
+    env.run(until=50)
+    env.call_at(2047, lambda: None)  # t=2097
+    with pytest.raises(SimulationError):
+        env.run(until=10)
+    assert env.now == 50
+    env.call_at(39, lambda: fired.append(env.now))  # t=89
+    env.run()
+    assert fired == [89]
+    assert env.now == 2097
 
 
 def test_run_until_with_only_cancelled_events_left(env):
@@ -392,7 +411,7 @@ def test_metrics_track_peak_pending_and_fired(env):
 
 
 def test_calendar_metrics_split_lanes():
-    env = make_engine("calendar")
+    env = CalendarEngine()
     env.timeout(10)            # ring lane
     env.timeout(RING_SPAN * 2)  # overflow lane
     env.run()
@@ -401,22 +420,7 @@ def test_calendar_metrics_split_lanes():
     assert m["overflow_fired"] == 1
 
 
-# -- engine selection ---------------------------------------------------------
+# -- the production engine -----------------------------------------------------
 
-def test_engine_factory_default_is_calendar(monkeypatch):
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
+def test_engine_factory_default_is_calendar():
     assert isinstance(Engine(), CalendarEngine)
-
-
-def test_engine_factory_honors_env_var(monkeypatch):
-    monkeypatch.setenv("REPRO_ENGINE", "reference")
-    assert isinstance(Engine(), ReferenceEngine)
-    monkeypatch.setenv("REPRO_ENGINE", "calendar")
-    assert isinstance(Engine(), CalendarEngine)
-
-
-def test_engine_factory_rejects_unknown_kind(monkeypatch):
-    monkeypatch.setenv("REPRO_ENGINE", "quantum")
-    with pytest.raises(SimulationError):
-        Engine()
-    assert engine_kind("fast") == "calendar"
