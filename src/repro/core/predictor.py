@@ -10,6 +10,14 @@
 2. :class:`StallTimePredictor` — predicts how long to stall a freshly
    waiting WG before paying for a context switch, as the running mean of
    the observed cycles-until-condition-met.
+
+The modelled hardware has all ``filter_count`` (512) filters. The host
+model builds a filter at the first use of its index (the first update or
+fault-injection perturbation that hashes there); a release of an index
+never built has nothing to reset. A filter's hash functions come from a
+stream named after its index (``bloom{i}``), not from draw order, so a
+filter built late is the filter an eager build would have made and every
+result is identical. Policies other than AWG never build one.
 """
 
 from __future__ import annotations
@@ -28,7 +36,11 @@ class ResumeDecision(enum.Enum):
 
 
 class ResumePredictor:
-    """Bloom-filter-based resume-count prediction (one filter / address)."""
+    """Bloom-filter-based resume-count prediction (one filter / address).
+
+    ``filters`` maps a filter index to its filter and holds only the
+    indices used so far; an index that is absent is an all-zero filter.
+    """
 
     def __init__(
         self,
@@ -38,22 +50,23 @@ class ResumePredictor:
         rng: RngStream,
     ) -> None:
         self.filter_count = filter_count
-        self.filters = [
-            CountingBloomFilter(bits, hashes, rng.child(f"bloom{i}"))
-            for i in range(filter_count)
-        ]
+        self.bits = bits
+        self.hashes = hashes
+        self._rng = rng
+        self.filters: Dict[int, CountingBloomFilter] = {}
         self._index_hash = UniversalHash(filter_count, rng.child("bloom-index"))
         #: distinct-update estimate per live monitored address
         self._live: Dict[int, int] = {}
         self.predictions_all = 0
         self.predictions_one = 0
 
-    def _filter_for(self, addr: int) -> CountingBloomFilter:
-        return self.filters[self._index_hash(addr)]
-
     def record_update(self, addr: int, value: int) -> None:
         """Observe one atomic update to a monitored address."""
-        filt = self._filter_for(addr)
+        idx = self._index_hash(addr)
+        filt = self.filters.get(idx)
+        if filt is None:
+            filt = self.filters[idx] = CountingBloomFilter(
+                self.bits, self.hashes, self._rng.child(f"bloom{idx}"))
         if filt.insert(value):
             self._live[addr] = self._live.get(addr, 0) + 1
 
@@ -85,10 +98,16 @@ class ResumePredictor:
         self.record_update(addr, value)
 
     def release(self, addr: int) -> None:
-        """Condition met, all waiters resumed, address unmonitored: reset."""
+        """Condition met, all waiters resumed, address unmonitored: reset.
+
+        The reset clears the filter at ``addr``'s index, which another
+        address hashing there may have built; an index never built is
+        already all-zero."""
         if addr in self._live:
             del self._live[addr]
-        self._filter_for(addr).reset()
+        filt =self.filters.get(self._index_hash(addr))
+        if filt is not None:
+            filt.reset()
 
 
 class StallTimePredictor:
