@@ -184,7 +184,10 @@ class WavefrontCtx:
                 f"by WG{drop['wg']} wf{drop['wf']} and never executed "
                 f"(REPRO_DEBUG_OPS=1)"
             )
-        yield from self._interrupt_point()
+        wg = self.wg
+        if wg.evict_requested or wg.gate is not None:
+            # only then can the interrupt point yield; skip its generator
+            yield from self._interrupt_point()
         yield self.simd.service(self.gpu.config.issue_cycles)
 
     # -- compute and plain memory ---------------------------------------------

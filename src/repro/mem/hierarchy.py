@@ -17,6 +17,7 @@ and checked.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Callable, List, Optional
 
 from repro.mem import atomics as atomic_alu
@@ -94,9 +95,8 @@ class MemoryHierarchy:
         cfg = self.config
         l1 = self.l1s[cu_id]
         if l1.access(addr):
-            done = self.env.timeout(cfg.l1_latency)
             result = Event(self.env)
-            done.add_callback(lambda _ev: result.try_succeed(self.store.read(addr)))
+            self.env.call_at(cfg.l1_latency, partial(self._deliver, result, addr))
             return result
         return self._l2_access(addr, extra_latency=cfg.l1_latency, write=False)
 
@@ -124,6 +124,11 @@ class MemoryHierarchy:
         done.add_callback(_commit)
         return result
 
+    def _deliver(self, result: Event, addr: int) -> None:
+        """A load's completion timer: read the word as of now and hand it
+        to ``result`` in a delay-0 hop (behind this cycle's queued work)."""
+        result.try_succeed(self.store.read(addr))
+
     def _l2_access(self, addr: int, extra_latency: int, write: bool) -> Event:
         cfg = self.config
         result = Event(self.env)
@@ -137,15 +142,12 @@ class MemoryHierarchy:
                 dram_done = self.dram.service(cfg.dram_service)
 
                 def _from_dram(_ev2: Event) -> None:
-                    fin = self.env.timeout(latency + cfg.dram_latency)
-                    fin.add_callback(
-                        lambda _e: result.try_succeed(self.store.read(addr))
-                    )
+                    self.env.call_at(latency + cfg.dram_latency,
+                                     partial(self._deliver, result, addr))
 
                 dram_done.add_callback(_from_dram)
             else:
-                fin = self.env.timeout(latency)
-                fin.add_callback(lambda _e: result.try_succeed(self.store.read(addr)))
+                self.env.call_at(latency, partial(self._deliver, result, addr))
 
         granted.add_callback(_at_l2)
         return result
@@ -200,8 +202,7 @@ class MemoryHierarchy:
                 l2_hook(res)
             latency = (cfg.l2_latency + (0 if hit else cfg.dram_latency)
                        + self.fault_extra_latency)
-            fin = self.env.timeout(latency)
-            fin.add_callback(lambda _e: result.try_succeed(res))
+            self.env.call_at(latency, partial(result.try_succeed, res))
 
         granted.add_callback(_at_l2)
         return result

@@ -3,11 +3,12 @@
 A small, from-scratch, generator-based discrete-event kernel in the style
 of SimPy, specialized for cycle-accurate-ish hardware modelling:
 
-- :class:`~repro.sim.engine.Engine` — the event heap and simulation clock
-  (integer cycles).
+- :class:`~repro.sim.engine.Engine` — the calendar-queue event engine
+  and simulation clock (integer cycles); ``env.timeout`` makes timer
+  events, ``env.call_at`` fire-and-forget call entries.
 - :class:`~repro.sim.events.Event` — one-shot completion events with
-  callbacks; :class:`~repro.sim.events.Timeout`,
-  :class:`~repro.sim.events.AnyOf`, :class:`~repro.sim.events.AllOf`.
+  callbacks; :class:`~repro.sim.events.AnyOf`,
+  :class:`~repro.sim.events.AllOf`.
 - :class:`~repro.sim.process.Process` — a generator that yields events and
   is resumed with their values; supports interruption.
 - :class:`~repro.sim.resources.FifoResource` — a FIFO-arbitrated resource
@@ -16,7 +17,7 @@ of SimPy, specialized for cycle-accurate-ish hardware modelling:
 """
 
 from repro.sim.engine import Engine
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
+from repro.sim.events import AllOf, AnyOf, Event
 from repro.sim.process import Interrupt, Process
 from repro.sim.resources import FifoResource
 from repro.sim.rng import RngStream
@@ -34,5 +35,4 @@ __all__ = [
     "RngStream",
     "StatRegistry",
     "TimeWeighted",
-    "Timeout",
 ]

@@ -1,30 +1,39 @@
 """The discrete-event simulation engine.
 
 The engine owns the simulation clock (an integer cycle count) and the
-set of scheduled events. Components schedule
-:class:`~repro.sim.events.Event` objects to fire after a delay;
-processes (see :mod:`repro.sim.process`) yield events to wait for them.
+queue of scheduled entries. A queue entry is either an
+:class:`~repro.sim.events.Event` (something a process can wait for or
+observers can subscribe to: :meth:`_EngineBase.timeout`,
+:meth:`~repro.sim.events.Event.try_succeed`) or a *call entry*
+(:meth:`_EngineBase.call_at`): a fire-and-forget timer that runs one
+callable and allocates no event, observer list or wrapper. Both kinds
+take the same ``(time, seq)`` slot through the engine's one
+``_push(entry, delay)``, so which kind a component uses never changes
+firing order. Processes (see :mod:`repro.sim.process`) yield events to
+wait for them.
 
 :class:`CalendarEngine` (exported as :data:`Engine`) is a calendar
-queue: a ring of per-cycle FIFO buckets absorbs near-future events (the
-common case: ``timeout(0)`` process starts, fixed-latency memory
-completions, retry intervals), a binary-heap overflow lane holds
-far-future or irregular events, and :meth:`~CalendarEngine.run` drains
-all events that share a timestamp in one batched inner loop.
+queue: a ring of per-cycle FIFO buckets absorbs near-future entries
+(the common case: delay-0 process starts and completion hops,
+fixed-latency memory completions, retry intervals), a binary-heap
+overflow lane holds far-future or irregular entries, and
+:meth:`~CalendarEngine.run` drains all entries that share a timestamp
+in one batched inner loop.
 
-**Determinism contract.** Events scheduled at the same cycle fire in
-FIFO order of scheduling. A plain binary heap of ``(time, seq, event)``
+**Determinism contract.** Entries scheduled at the same cycle fire in
+FIFO order of scheduling. A plain binary heap of ``(time, seq, entry)``
 is the executable spec of that order: it lives in the tests as the
 oracle (``tests/sim/heap_engine.py``), and
 ``tests/integration/test_engine_differential.py`` pins the two
-bit-identical — same event order, same stats, same traces, same final
+bit-identical — same firing order, same stats, same traces, same final
 memory.
 
 Cancellation is lazy but bounded: a cancelled event's queue entry is
 garbage until its timestamp is reached, so preemption storms that
 cancel many far-future timeouts would otherwise grow memory and pop
 cost without bound. When dead entries cross a threshold the queue is
-compacted in place (see :meth:`_EngineBase.note_cancelled`).
+compacted in place (see :meth:`_EngineBase.note_cancelled`). Call
+entries cannot be cancelled.
 """
 
 from __future__ import annotations
@@ -34,7 +43,7 @@ from collections import deque
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
-from repro.sim.events import Event
+from repro.sim.events import _SCHEDULED, Event
 
 #: never compact below this many dead entries (tiny queues aren't worth it)
 COMPACT_MIN_DEAD = 64
@@ -46,6 +55,21 @@ COMPACT_MIN_DEAD = 64
 #: overflow heap only sees policy timers (20k retry intervals, 100k
 #: backstops) and fault-plan alarms.
 RING_SPAN = 2048
+
+
+class _Call:
+    """A call entry: a queue slot that runs one callable when it fires.
+
+    The engine loops treat it like an event (they read ``cancelled``
+    and call ``fire()``), but it is only the callable itself, stored
+    under the name ``fire``: firing costs no extra frame, and there is
+    no value, state or observer list to allocate."""
+
+    __slots__ = ("fire",)
+    cancelled = False
+
+    def __init__(self, fn: Callable[[], None]) -> None:
+        self.fire = fn
 
 
 class _EngineBase:
@@ -81,16 +105,25 @@ class _EngineBase:
     def timeout(self, delay: int, value: object = None) -> Event:
         """Create an event that fires ``delay`` cycles from now."""
         ev = Event(self)
-        self.schedule(ev, delay=delay, value=value)
+        # mark_scheduled, inlined: a fresh event cannot be scheduled yet
+        ev._state = _SCHEDULED
+        ev._value = value
+        self._push(ev, delay)
         return ev
 
-    def call_at(self, delay: int, fn: Callable[[], None]) -> Event:
-        """Invoke ``fn`` after ``delay`` cycles (fire-and-forget helper)."""
-        ev = self.timeout(delay)
-        ev.add_callback(lambda _ev: fn())
-        return ev
+    def call_at(self, delay: int, fn: Callable[[], None]) -> None:
+        """Invoke ``fn()`` after ``delay`` cycles (fire-and-forget).
+
+        Takes the same queue slot an event scheduled now would, without
+        allocating one."""
+        self._push(_Call(fn), delay)
 
     def schedule(self, event: Event, delay: int = 0, value: object = None) -> Event:
+        raise NotImplementedError  # pragma: no cover
+
+    def _push(self, entry, delay: int) -> None:
+        """Queue ``entry`` (an event or a call entry) ``delay`` cycles
+        from now, behind everything already queued for that cycle."""
         raise NotImplementedError  # pragma: no cover
 
     # -- lazy-cancellation accounting ----------------------------------
@@ -142,26 +175,31 @@ class CalendarEngine(_EngineBase):
     """Calendar-queue engine: per-cycle FIFO ring + heap overflow lane.
 
     - **Ring lane** — ``RING_SPAN`` deques, one per cycle in the window
-      ``[now, now + RING_SPAN)``. A schedule with ``delay < RING_SPAN``
-      is a single O(1) append; no tuples, no heap traffic. Because the
-      global sequence counter increases with every schedule call,
-      append order *is* FIFO (time, seq) order within a bucket.
+      ``[now, now + RING_SPAN)``, each built at its first push. A push
+      with ``delay < RING_SPAN`` is a single O(1) append; no tuples, no
+      heap traffic. Because the global sequence counter increases with
+      every push, append order *is* FIFO (time, seq) order within a
+      bucket.
     - **Overflow lane** — delays ``>= RING_SPAN`` go to a binary heap of
-      ``(time, seq, event)``. For one timestamp, every overflow entry
+      ``(time, seq, entry)``. For one timestamp, every overflow entry
       was scheduled strictly earlier than any ring entry (it had to be
       scheduled while the timestamp was still outside the ring window),
       so draining the overflow lane first preserves global FIFO order.
     - **Same-cycle fast lane** — a ``delay=0`` schedule during a batch
       lands at the tail of the bucket currently being drained and fires
-      in the same inner loop: ``timeout(0)`` process starts and notify
-      chains never touch the heap and never re-enter the outer loop.
+      in the same inner loop: delay-0 process starts, completion hops
+      and notify chains never touch the heap and never re-enter the
+      outer loop.
     """
 
     def __init__(self) -> None:
         super().__init__()
         self._span = RING_SPAN
         self._mask = RING_SPAN - 1
-        self._ring: List[deque] = [deque() for _ in range(RING_SPAN)]
+        #: a bucket's deque is built at its first push: the 2048 deques
+        #: would otherwise be most of a fresh engine's (one per cell)
+        #: construction cost, and most short runs never touch them all
+        self._ring: List[Optional[deque]] = [None] * RING_SPAN
         #: physical entries (live + dead) currently in the ring
         self._ring_len = 0
         #: min-heap of bucket timestamps, pushed on every empty ->
@@ -170,39 +208,46 @@ class CalendarEngine(_EngineBase):
         #: size; entries whose bucket has since drained are stale and
         #: discarded lazily by :meth:`_find_next`.
         self._bucket_times: List[int] = []
-        self._overflow: List[Tuple[int, int, Event]] = []
+        self._overflow: List[Tuple[int, int, object]] = []
         # -- lane observability ------------------------------------
         self._bucket_fired = 0
         self._overflow_fired = 0
 
     # -- scheduling ----------------------------------------------------
+    def _push(self, entry, delay: int) -> None:
+        if delay < 0:
+            raise SimulationError(f"negative delay: {delay}")
+        if delay < self._span:
+            when = self._now + delay
+            bucket = self._ring[when & self._mask]
+            if not bucket:
+                if bucket is None:
+                    bucket = self._ring[when & self._mask] = deque()
+                if not (self._running and when == self._now):
+                    # mid-batch same-cycle pushes (delay-0 chains) need
+                    # no entry: the batch loop currently draining `when`
+                    # absorbs them, and run()'s exit hook re-registers
+                    # any leftovers
+                    heapq.heappush(self._bucket_times, when)
+            bucket.append(entry)
+            self._ring_len += 1
+        else:
+            self._seq += 1
+            heapq.heappush(
+                self._overflow, (self._now + delay, self._seq, entry))
+        live = self._live + 1
+        self._live = live
+        if live > self._peak_pending:
+            self._peak_pending = live
+
     def schedule(self, event: Event, delay: int = 0, value: object = None) -> Event:
         """Arrange for ``event`` to fire ``delay`` cycles from now.
 
         The event's value is set at fire time; scheduling an already-fired
         or already-scheduled event is an error.
         """
-        if delay < 0:
-            raise SimulationError(f"negative delay: {delay}")
         event.mark_scheduled(value)
-        if delay < self._span:
-            when = self._now + delay
-            bucket = self._ring[when & self._mask]
-            if not bucket and not (self._running and when == self._now):
-                # mid-batch same-cycle schedules (delay-0 chains) need no
-                # entry: the batch loop currently draining `when` absorbs
-                # them, and run()'s exit hook re-registers any leftovers
-                heapq.heappush(self._bucket_times, when)
-            bucket.append(event)
-            self._ring_len += 1
-        else:
-            self._seq += 1
-            heapq.heappush(
-                self._overflow, (self._now + delay, self._seq, event))
-        live = self._live + 1
-        self._live = live
-        if live > self._peak_pending:
-            self._peak_pending = live
+        self._push(event, delay)
         return event
 
     # -- compaction ----------------------------------------------------

@@ -1,8 +1,16 @@
-"""One-shot events and composite events for the simulation engine."""
+"""One-shot events and composite events for the simulation engine.
+
+An :class:`Event` is what a process waits on and what observers
+subscribe to. Most events have at most one observer (the process
+waiting on them), so ``_callbacks`` holds ``None``, that one callable,
+or — once a second observer arrives — a list, in registration order.
+Fire-and-forget timers that nobody waits on are not events at all: they
+are call entries (:meth:`~repro.sim.engine._EngineBase.call_at`).
+"""
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable, List, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, List, Union
 
 from repro.errors import SimulationError
 
@@ -19,11 +27,11 @@ _FIRED = "fired"
 class Event:
     """A one-shot completion event.
 
-    Lifecycle: *pending* → *scheduled* (sitting in the engine heap) →
+    Lifecycle: *pending* → *scheduled* (sitting in the engine queue) →
     *fired* (callbacks run, value available). ``succeed`` schedules the
     event at the current time; ``try_succeed`` is the idempotent variant
     used by racy notifiers (e.g. a resume racing a timeout). ``cancel``
-    marks a scheduled event dead so the heap skips it.
+    marks a scheduled event dead so the engine skips it.
     """
 
     __slots__ = ("env", "_state", "_value", "_callbacks", "cancelled")
@@ -32,9 +40,10 @@ class Event:
         self.env = env
         self._state = _PENDING
         self._value: object = None
-        # lazily allocated: most timeouts get at most one observer, and
-        # pure delays (quantum ticks) get none at all
-        self._callbacks: Optional[List[Callback]] = None
+        # None, one callback, or a list once a second observer arrives:
+        # most events get exactly one observer, pure delays (quantum
+        # ticks) none at all
+        self._callbacks: Union[None, Callback, List[Callback]] = None
         self.cancelled = False
 
     # -- state ---------------------------------------------------------
@@ -67,9 +76,12 @@ class Event:
 
     def try_succeed(self, value: object = None, delay: int = 0) -> bool:
         """Like :meth:`succeed` but a no-op if already triggered."""
-        if self.triggered or self.cancelled:
+        if self._state != _PENDING or self.cancelled:
             return False
-        self.succeed(value, delay=delay)
+        # the hot trigger (every completion hop): straight to the queue
+        self.env._push(self, delay)
+        self._state = _SCHEDULED
+        self._value = value
         return True
 
     def cancel(self) -> None:
@@ -90,30 +102,28 @@ class Event:
         if self._state != _SCHEDULED:
             raise SimulationError("firing an event that was not scheduled")
         self._state = _FIRED
-        callbacks, self._callbacks = self._callbacks, None
-        if callbacks:
-            for cb in callbacks:
-                cb(self)
+        callbacks = self._callbacks
+        if callbacks is not None:
+            self._callbacks = None
+            if type(callbacks) is list:
+                for cb in callbacks:
+                    cb(self)
+            else:
+                callbacks(self)
 
     # -- observers -----------------------------------------------------
     def add_callback(self, cb: Callback) -> None:
         """Run ``cb(event)`` when the event fires (immediately if fired)."""
         if self._state == _FIRED:
             cb(self)
-        elif self._callbacks is None:
-            self._callbacks = [cb]
+            return
+        callbacks = self._callbacks
+        if callbacks is None:
+            self._callbacks = cb
+        elif type(callbacks) is list:
+            callbacks.append(cb)
         else:
-            self._callbacks.append(cb)
-
-
-class Timeout(Event):
-    """An event that fires a fixed delay after creation."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Engine", delay: int, value: object = None) -> None:
-        super().__init__(env)
-        env.schedule(self, delay=delay, value=value)
+            self._callbacks = [callbacks, cb]
 
 
 class AnyOf(Event):
@@ -130,14 +140,15 @@ class AnyOf(Event):
         self.children: List[Event] = list(children)
         if not self.children:
             raise SimulationError("AnyOf needs at least one child event")
-        for idx, child in enumerate(self.children):
-            child.add_callback(self._make_cb(idx))
+        for child in self.children:
+            child.add_callback(self._child_fired)
 
-    def _make_cb(self, idx: int) -> Callback:
-        def _cb(child: Event) -> None:
-            self.try_succeed((idx, child.value))
-
-        return _cb
+    def _child_fired(self, child: Event) -> None:
+        # one bound method for every child: the winner's index is looked
+        # up only when it fires (a child listed twice reports its first
+        # index, as the first of its two registrations would)
+        if self._state == _PENDING and not self.cancelled:
+            self.try_succeed((self.children.index(child), child._value))
 
     def winner(self) -> int:
         """Index of the child that fired first (valid after firing)."""
@@ -165,8 +176,3 @@ class AllOf(Event):
         if self._remaining == 0:
             self.succeed([c.value for c in self.children])
 
-
-def first_of(env: "Engine", *events: Optional[Event]) -> AnyOf:
-    """Convenience: AnyOf over the non-None arguments."""
-    live = [ev for ev in events if ev is not None]
-    return AnyOf(env, live)

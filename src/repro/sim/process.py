@@ -5,6 +5,12 @@ A process wraps a Python generator. The generator yields
 is resumed with the event's value as the result of the ``yield``
 expression. Processes are themselves events — they fire with the
 generator's return value — so processes can wait on each other.
+
+A wait registers the bound method :meth:`Process._resume` as the
+yielded event's observer; it checks that the event is still the one the
+process waits on and sends its value in, in one frame. Starting a
+process and interrupting it are delay-0 call entries into
+:meth:`Process._step`.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ class Process(Event):
         self._waiting_on: Optional[Event] = None
         # Start on the next engine tick at the current time so creation
         # order does not leak into execution order mid-callback.
-        env.timeout(0).add_callback(lambda _ev: self._resume(None, None))
+        env.call_at(0, self._step)
 
     @property
     def alive(self) -> bool:
@@ -50,16 +56,13 @@ class Process(Event):
         """Throw :class:`Interrupt` into the process at its wait point."""
         if self.fired:
             return
-        waiting = self._waiting_on
-        self._waiting_on = None
         # The event the process was waiting for may still fire later; the
-        # stale callback checks _waiting_on identity and ignores it.
-        self.env.timeout(0).add_callback(
-            lambda _ev, c=cause: self._resume(None, Interrupt(c))
-        )
-        del waiting
+        # stale wake-up fails _resume's identity check and is ignored.
+        self._waiting_on = None
+        self.env.call_at(0, lambda: self._step(Interrupt(cause)))
 
-    def _resume(self, value: object, exc: Optional[BaseException]) -> None:
+    def _step(self, exc: Optional[BaseException] = None) -> None:
+        """Start the generator (``exc`` None) or throw ``exc`` into it."""
         if self.fired:
             return
         self._waiting_on = None
@@ -67,7 +70,7 @@ class Process(Event):
             if exc is not None:
                 target = self._gen.throw(exc)
             else:
-                target = self._gen.send(value)
+                target = self._gen.send(None)
         except StopIteration as stop:
             self.try_succeed(stop.value)
             return
@@ -80,12 +83,24 @@ class Process(Event):
                 f"process {self.name!r} yielded {target!r}; processes must yield Events"
             )
         self._waiting_on = target
-        target.add_callback(self._wakeup)
+        target.add_callback(self._resume)
 
-    def _wakeup(self, event: Event) -> None:
-        # Bound method instead of a per-yield closure: the identity check
-        # against _waiting_on already rejects stale wakeups (an event the
-        # process abandoned — e.g. after an interrupt — firing later), so
-        # the closure's captured target added nothing but allocations.
-        if self._waiting_on is event:
-            self._resume(event.value, None)
+    def _resume(self, event: Event) -> None:
+        """Observer of the awaited event: send its value in."""
+        if self._waiting_on is not event:
+            return  # stale: abandoned after an interrupt, or already done
+        self._waiting_on = None
+        try:
+            target = self._gen.send(event._value)
+        except StopIteration as stop:
+            self.try_succeed(stop.value)
+            return
+        except Interrupt:
+            self.try_succeed(None)
+            return
+        if not isinstance(target, Event):
+            raise SimulationError(
+                f"process {self.name!r} yielded {target!r}; processes must yield Events"
+            )
+        self._waiting_on = target
+        target.add_callback(self._resume)

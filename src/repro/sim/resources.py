@@ -9,6 +9,7 @@ holds the resource for a caller-specified service time.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import TYPE_CHECKING, Deque, Tuple
 
 from repro.errors import SimulationError
@@ -66,11 +67,12 @@ class FifoResource:
         self._busy += 1
         if queued_at is not None:
             self.total_queue_cycles += self.env.now - queued_at
-        finish = self.env.timeout(cycles)
-        finish.add_callback(lambda _ev: self._finish(done))
+        self.env.call_at(cycles, partial(self._finish, done))
 
     def _finish(self, done: Event) -> None:
         self._busy -= 1
+        # a delay-0 hop, not `done` scheduled at start + cycles: waiters
+        # must run behind the work already queued for this cycle
         done.try_succeed()
         if self._queue and self._busy < self.slots:
             nxt, cycles, arrived = self._queue.popleft()

@@ -1,10 +1,13 @@
 """Property-based tests for the simulation engine and resources."""
 
+import itertools
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.engine import Engine
+from repro.sim.engine import RING_SPAN, CalendarEngine, Engine
 from repro.sim.resources import FifoResource
+from tests.sim.heap_engine import HeapEngine
 
 
 @given(st.lists(st.integers(0, 1000), min_size=1, max_size=50))
@@ -67,3 +70,116 @@ def test_nested_scheduling_from_callbacks(pairs):
     env.run()
     assert stamps == sorted(stamps)
     assert len(stamps) == 2 * len(pairs)
+
+
+# -- calendar engine vs the heap oracle on random programs --------------------
+
+#: delays on both sides of the calendar ring's edge, plus short ones
+DELAYS = st.one_of(
+    st.sampled_from([0, 1, 2, RING_SPAN - 1, RING_SPAN, 5000]),
+    st.integers(0, 40),
+)
+
+#: one action of a program: ``(kind, delay, observers, target, children)``.
+#: ``timeout``/``trigger`` make an event (``env.timeout`` or a fresh event
+#: fired by ``try_succeed``) with 1-3 observers, the first of which runs
+#: ``children`` when it fires; ``call`` is an ``env.call_at`` entry that
+#: runs ``children``; ``cancel`` cancels a still-queued event picked by
+#: ``target``. Children issued with delay 0 from inside a callback are
+#: same-cycle hop chains.
+ACTIONS = st.recursive(
+    st.tuples(st.sampled_from(["timeout", "call", "trigger", "cancel"]),
+              DELAYS, st.integers(1, 3), st.integers(0, 7), st.just(())),
+    lambda children: st.tuples(
+        st.sampled_from(["timeout", "call", "trigger"]), DELAYS,
+        st.integers(1, 3), st.integers(0, 7),
+        st.lists(children, max_size=3).map(tuple)),
+    max_leaves=24,
+)
+
+#: how the program is driven: one run(), run(max_events=k) slices, or
+#: the GPU's drain_batches(boundary) + step() pattern
+DRIVERS = st.one_of(st.just(("run", 0)),
+                    st.tuples(st.just("budget"), st.integers(1, 5)),
+                    st.tuples(st.just("drain"), st.sampled_from([1, 7, 3000])))
+
+PARITY_METRICS = ("fired", "peak_pending", "pending", "dead_pending")
+
+
+def _run_program(engine_cls, program, driver):
+    """Run ``program`` on a fresh engine; returns the fire trace
+    ``(label, observer, now)``, the end-of-run metrics and the clock."""
+    env = engine_cls()
+    trace = []
+    events = []
+    labels = itertools.count()
+
+    def perform(action):
+        kind, delay, observers, target, children = action
+        label = next(labels)
+        if kind == "cancel":
+            queued = [ev for ev in events if ev.triggered and not ev.fired
+                      and not ev.cancelled]
+            if queued:
+                queued[target % len(queued)].cancel()
+                trace.append((label, "cancel", env.now))
+            return
+        if kind == "call":
+            def call():
+                trace.append((label, "call", env.now))
+                for child in children:
+                    perform(child)
+            assert env.call_at(delay, call) is None
+            return
+        ev = env.timeout(delay) if kind == "timeout" else env.event()
+        events.append(ev)
+        for idx in range(observers):
+            def observe(fired, idx=idx):
+                assert fired is ev and fired.fired
+                trace.append((label, idx, env.now))
+                if idx == 0:
+                    for child in children:
+                        perform(child)
+            ev.add_callback(observe)
+        if kind == "trigger":
+            assert ev.try_succeed(label, delay=delay)
+            assert not ev.try_succeed(None)
+
+    for action in program:
+        perform(action)
+    mode, arg = driver
+    if mode == "run":
+        env.run()
+    elif mode == "budget":
+        while env.run(max_events=arg):
+            pass
+    else:
+        while env.peek() is not None:
+            env.drain_batches(env.now + arg, lambda: False)
+            env.step()
+    metrics = env.metrics()
+    return trace, {k: metrics[k] for k in PARITY_METRICS}, env.now
+
+
+def _check_observer_order(trace):
+    """An event's observers run back to back in registration order (no
+    action fires anything synchronously)."""
+    fires = [(label, who) for label, who, _now in trace
+             if isinstance(who, int)]
+    for pos, (label, who) in enumerate(fires):
+        if who:
+            assert fires[pos - 1] == (label, who - 1), fires
+
+
+@given(st.lists(ACTIONS, min_size=1, max_size=8), DRIVERS)
+@settings(max_examples=150)
+def test_calendar_engine_matches_heap_oracle_on_random_programs(program,
+                                                                driver):
+    got = _run_program(CalendarEngine, program, driver)
+    want = _run_program(HeapEngine, program, driver)
+    assert got == want
+    trace, metrics, _now = got
+    assert [now for _l, _w, now in trace] == sorted(
+        now for _l, _w, now in trace)
+    _check_observer_order(trace)
+    assert metrics["pending"] == metrics["dead_pending"] == 0

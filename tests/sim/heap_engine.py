@@ -1,10 +1,11 @@
 """The binary-heap event engine, kept as the test oracle.
 
 :class:`HeapEngine` is the simulator's original engine: one binary heap
-of ``(time, seq, event)``. It implements the same contract as the
-production :class:`~repro.sim.engine.CalendarEngine` — events at one
-cycle fire in FIFO order of scheduling — with none of the calendar
-queue's lanes, so the two must agree on every observable surface:
+of ``(time, seq, entry)``, an entry being an event or a call entry. It
+implements the same contract as the production
+:class:`~repro.sim.engine.CalendarEngine` — entries at one cycle fire in
+FIFO order of scheduling — with none of the calendar queue's lanes, so
+the two must agree on every observable surface:
 
 - ``tests/sim/test_engine.py`` runs each engine unit test on both;
 - ``tests/integration/test_engine_differential.py`` swaps this engine
@@ -23,23 +24,26 @@ from repro.sim.events import Event
 
 
 class HeapEngine(_EngineBase):
-    """One binary heap of ``(time, seq, event)``."""
+    """One binary heap of ``(time, seq, entry)``."""
 
     def __init__(self) -> None:
         super().__init__()
-        self._heap: List[Tuple[int, int, Event]] = []
+        self._heap: List[Tuple[int, int, object]] = []
 
-    def schedule(self, event: Event, delay: int = 0, value: object = None) -> Event:
-        """Arrange for ``event`` to fire ``delay`` cycles from now."""
+    def _push(self, entry, delay: int) -> None:
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
-        event.mark_scheduled(value)
         self._seq += 1
-        heapq.heappush(self._heap, (self._now + delay, self._seq, event))
+        heapq.heappush(self._heap, (self._now + delay, self._seq, entry))
         live = self._live + 1
         self._live = live
         if live > self._peak_pending:
             self._peak_pending = live
+
+    def schedule(self, event: Event, delay: int = 0, value: object = None) -> Event:
+        """Arrange for ``event`` to fire ``delay`` cycles from now."""
+        event.mark_scheduled(value)
+        self._push(event, delay)
         return event
 
     def _physical_size(self) -> int:

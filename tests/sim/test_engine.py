@@ -244,7 +244,8 @@ def _scan_pending_events(env):
     if isinstance(env, HeapEngine):
         return sum(1 for (_, _, ev) in env._heap if not ev.cancelled)
     return (sum(1 for (_, _, ev) in env._overflow if not ev.cancelled)
-            + sum(1 for b in env._ring for ev in b if not ev.cancelled))
+            + sum(1 for b in env._ring if b for ev in b
+                    if not ev.cancelled))
 
 
 def test_pending_events_matches_scan_oracle(env):

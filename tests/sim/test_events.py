@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim.engine import Engine
-from repro.sim.events import AllOf, AnyOf, Event, Timeout, first_of
+from repro.sim.events import AllOf, AnyOf, Event
 
 
 @pytest.fixture
@@ -51,9 +51,32 @@ def test_cancel_fired_event_raises(env):
 
 
 def test_timeout_event_fires_with_value(env):
-    ev = Timeout(env, 5, value="x")
+    ev = env.timeout(5, value="x")
+    assert ev.triggered and not ev.fired
     env.run()
     assert env.now == 5 and ev.value == "x"
+
+
+def test_observers_run_in_registration_order(env):
+    """One observer is stored bare and promoted to a list by the second;
+    the order of registration is the order of invocation either way."""
+    for n in (1, 2, 3):
+        ev = env.timeout(1)
+        got = []
+        for i in range(n):
+            ev.add_callback(lambda e, i=i: got.append(i))
+        env.run()
+        assert got == list(range(n))
+
+
+def test_observer_added_while_firing_runs_at_once(env):
+    ev = env.timeout(1)
+    got = []
+    ev.add_callback(lambda e: (got.append("first"),
+                               e.add_callback(lambda _e: got.append("late"))))
+    ev.add_callback(lambda e: got.append("second"))
+    env.run()
+    assert got == ["first", "late", "second"]
 
 
 def test_anyof_fires_on_first_child(env):
@@ -114,8 +137,8 @@ def test_allof_waits_for_slowest(env):
     assert all_ev.fired
 
 
-def test_first_of_skips_none(env):
+def test_anyof_child_listed_twice_reports_first_index(env):
     ev = env.timeout(3, value="v")
-    any_ev = first_of(env, None, ev, None)
+    any_ev = AnyOf(env, [env.timeout(9), ev, ev])
     env.run()
-    assert any_ev.value == (0, "v")
+    assert any_ev.value == (1, "v")
